@@ -1,6 +1,5 @@
 package repro.apps
 
-import org.apache.spark.sql.functions._
 import repro.core.{AggKind, VertexProgram}
 
 /** The five evaluation applications (paper §4.1), written as SLFE vertex
@@ -25,7 +24,7 @@ object Apps {
     name = "SSSP", agg = AggKind.Min, arith = false,
     initValue = v => if (v == root) 0.0 else Inf,
     initActive = _ == root,
-    msg = if (unitWeight) (srcVal, _, _) => srcVal + lit(1.0)
+    msg = if (unitWeight) (srcVal, _, _) => srcVal + 1.0
           else (srcVal, w, _) => srcVal + w,
     applyFn = (m, _) => m,
     improves = (cand, old) => cand < old,
@@ -53,7 +52,7 @@ object Apps {
     name = "WP", agg = AggKind.Max, arith = false,
     initValue = v => if (v == root) Inf else 0.0,
     initActive = _ == root,
-    msg = (srcVal, w, _) => least(srcVal, w),
+    msg = (srcVal, w, _) => math.min(srcVal, w),
     applyFn = (m, _) => m,
     improves = (cand, old) => cand > old,
     noMsgAgg = -Inf,
@@ -81,7 +80,7 @@ object Apps {
     name = "TR", agg = AggKind.Sum, arith = true,
     initValue = _ => 0.0,
     initActive = _ => true,
-    msg = (srcVal, _, srcOutDeg) => (lit(1.0) + lit(p) * srcVal) / srcOutDeg,
+    msg = (srcVal, _, srcOutDeg) => (1.0 + p * srcVal) / srcOutDeg,
     applyFn = (m, _) => m,
     improves = (cand, old) => math.abs(cand - old) > eps,
     noMsgAgg = 0.0,

@@ -1,8 +1,9 @@
 package repro.baseline
 
+import java.util.BitSet
 import scala.collection.mutable.ArrayBuffer
 import repro.core._
-import repro.graph.PropertyGraph
+import repro.graph.{EdgeLayout, PropertyGraph, VertexMap}
 
 /** Synchronous gather-apply-scatter baselines standing in for the paper's
   * two comparison systems (Table 5):
@@ -15,8 +16,8 @@ import repro.graph.PropertyGraph
   *   vertices signaled by an updated in-neighbor are gathered, and only
   *   updated vertices scatter.
   *
-  * Gather runs through the same Spark aggregation path as the SLFE engine
-  * (`EdgeOps.aggregate`), so computation counts are directly comparable;
+  * Gather runs through the same edge blocks as the SLFE engine
+  * (`EdgeOps.pull`), so computation counts are directly comparable;
   * scatter edge counts are added to the per-iteration computation tally.
   */
 object GasEngine {
@@ -25,49 +26,41 @@ object GasEngine {
   def runMinMax(g: PropertyGraph, prog: VertexProgram, dense: Boolean,
                 maxIters: Int = 300): RunResult = {
     val system = if (dense) "PowerG" else "PowerL"
+    val l = g.layout
     var state = EdgeOps.initState(g, prog, None)
     val stats = ArrayBuffer.empty[IterationStat]
     val t0 = System.nanoTime()
     var iter = 0
     var done = false
-    var signaled: Set[Long] =
-      if (dense) Set.empty // unused
+    // Signaled vertices: the active ones and their out-neighbours (unused when dense).
+    var signaled =
+      if (dense) new BitSet
       else {
-        val act = state.iterator.filter(_.active).map(_.id).toSet
-        act ++ act.iterator.flatMap(g.outNbrs(_).iterator)
+        val act = state.indices.filter(state(_).active).toArray
+        val b = outNbrSet(l, act)
+        act.foreach(b.set)
+        b
       }
     while (!done && iter < maxIters) {
       iter += 1
       val it0 = System.nanoTime()
-      val srcs = state.iterator.map(v => (v.id, v.value, v.outDeg)).toSeq
-      val dsts = if (dense) None else Some(signaled.toSeq)
-      val aggMap = EdgeOps.aggregate(g, prog, srcs, dsts)
-      var updatedIds = List.empty[Long]
-      state = state.map { v =>
-        aggMap.get(v.id) match {
-          case Some((m, _)) =>
-            val cand = prog.applyFn(m, v.value)
-            if (prog.improves(cand, v.value)) { updatedIds ::= v.id; v.copy(value = cand, active = true) }
-            else v.copy(active = false)
-          case None => v.copy(active = false)
-        }
-      }
-      val updates = updatedIds.size.toLong
-      val gatherComps = aggMap.valuesIterator.map(_._2).sum
+      val msgs = EdgeOps.pull(g, prog, state.map(_.value), if (dense) None else Some(signaled))
+      val (next, updated) = applyStep(prog, state, msgs.received, msgs)
+      state = next
+      val updates = updated.length.toLong
       val scatterComps =
         if (dense) g.numEdges // change-blind scatter over every edge
-        else updatedIds.iterator.map(g.outDeg(_)).sum
-      val computed = if (dense) g.numVertices else signaled.size.toLong
+        else updated.iterator.map(l.outDeg(_).toLong).sum
+      val computed = if (dense) g.numVertices else signaled.cardinality.toLong
       stats += IterationStat(iter, if (dense) "gas-dense" else "gas-signaled",
-        computed, gatherComps + scatterComps, updates, updates,
+        computed, msgs.edges + scatterComps, updates, updates,
         (System.nanoTime() - it0) / 1000000L)
-      if (!dense) signaled = updatedIds.iterator.flatMap(g.outNbrs(_).iterator).toSet
+      if (!dense) signaled = outNbrSet(l, updated)
       done = if (dense) updates == 0 else signaled.isEmpty
     }
     require(done, s"$system/${prog.name} on ${g.name} hit maxIters=$maxIters before converging")
-    RunResult(system, prog.name, g.name,
-      state.iterator.map(v => v.id -> v.value).toMap, stats.toSeq,
-      (System.nanoTime() - t0) / 1000000L)
+    RunResult(system, prog.name, g.name, VertexMap.dense(g.vertexIds, state.map(_.value)),
+      stats.toSeq, (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Arithmetic applications: both variants gather *every* vertex each
@@ -80,6 +73,7 @@ object GasEngine {
   def runArith(g: PropertyGraph, prog: VertexProgram, dense: Boolean,
                iters: Int = 30, earlyStop: Boolean = false): RunResult = {
     val system = if (dense) "PowerG" else "PowerL"
+    val l = g.layout
     var state = EdgeOps.initState(g, prog, None)
     val stats = ArrayBuffer.empty[IterationStat]
     val t0 = System.nanoTime()
@@ -88,28 +82,49 @@ object GasEngine {
     while (!done && iter < iters) {
       iter += 1
       val it0 = System.nanoTime()
-      val srcs = state.iterator.map(v => (v.id, v.value, v.outDeg)).toSeq
-      val aggMap = EdgeOps.aggregate(g, prog, srcs, None)
-      var updatedIds = List.empty[Long]
-      state = state.map { v =>
-        val m = aggMap.get(v.id).map(_._1).getOrElse(prog.noMsgAgg)
-        val cand = prog.applyFn(m, v.value)
-        val changed = prog.improves(cand, v.value)
-        if (changed) updatedIds ::= v.id
-        v.copy(value = cand, active = changed)
-      }
-      val updates = updatedIds.size.toLong
-      val gatherComps = aggMap.valuesIterator.map(_._2).sum
+      val msgs = EdgeOps.pull(g, prog, state.map(_.value), None)
+      val (next, updated) = applyStep(prog, state, _ => true, msgs)
+      state = next
+      val updates = updated.length.toLong
       val scatterComps =
         if (dense) g.numEdges
-        else updatedIds.iterator.map(g.outDeg(_)).sum
+        else updated.iterator.map(l.outDeg(_).toLong).sum
       stats += IterationStat(iter, if (dense) "gas-dense" else "gas-signaled",
-        g.numVertices, gatherComps + scatterComps, updates, updates,
+        g.numVertices, msgs.edges + scatterComps, updates, updates,
         (System.nanoTime() - it0) / 1000000L)
       if (earlyStop && updates == 0) done = true
     }
-    RunResult(system, prog.name, g.name,
-      state.iterator.map(v => v.id -> v.value).toMap, stats.toSeq,
-      (System.nanoTime() - t0) / 1000000L)
+    RunResult(system, prog.name, g.name, VertexMap.dense(g.vertexIds, state.map(_.value)),
+      stats.toSeq, (System.nanoTime() - t0) / 1000000L)
+  }
+
+  /** Apply step: every vertex with `computed(i)` applies its aggregate (the
+    * program's no-message aggregate if none arrived); the others go
+    * inactive. A min/max vertex keeps its value unless the candidate
+    * improves it; an arithmetic vertex always takes the candidate, so
+    * changes below eps still accumulate. Returns the new state and the
+    * indices whose value changed.
+    */
+  private def applyStep(prog: VertexProgram, state: Array[VState], computed: Int => Boolean,
+                    msgs: Messages): (Array[VState], Array[Int]) = {
+    val updated = Array.newBuilder[Int]
+    val next = Array.tabulate(state.length) { i =>
+      val v = state(i)
+      if (computed(i)) {
+        val m = if (msgs.received(i)) msgs.agg(i) else prog.noMsgAgg
+        val cand = prog.applyFn(m, v.value)
+        val changed = prog.improves(cand, v.value)
+        if (changed) updated += i
+        v.copy(value = if (changed || prog.arith) cand else v.value, active = changed)
+      } else v.copy(active = false)
+    }
+    (next, updated.result())
+  }
+
+  /** Out-neighbours of the vertex indices `vs`. */
+  private def outNbrSet(l: EdgeLayout, vs: Array[Int]): BitSet = {
+    val b = new BitSet(l.numVertices)
+    vs.foreach(i => for (e <- l.adjOff(i) until l.adjOff(i + 1)) b.set(l.adjDst(e)))
+    b
   }
 }

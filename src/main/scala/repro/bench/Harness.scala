@@ -38,6 +38,8 @@ object Harness {
   def prepare(spark: SparkSession, spec: GraphGen.GraphSpec): Prepared = {
     val g = GraphGen.build(spark, spec)
     val sym = g.symmetrize.cached()
+    // The engines' edge blocks, built here so that set-up pays for them.
+    g.layout; sym.layout
     val root = g.maxOutDegVertex
     // One guidance per traversal graph, generated once and reused by every
     // application on it (the paper's reuse story, §4.4 footnote 4).

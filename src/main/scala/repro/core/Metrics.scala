@@ -17,7 +17,10 @@ final case class IterationStat(
     millis: Long,
 )
 
-/** The outcome of one (system, app, graph) execution. */
+/** The outcome of one (system, app, graph) execution. The engines return
+  * `values` as a read-only view over one dense array in the graph's vertex
+  * order ([[repro.graph.VertexMap]]).
+  */
 final case class RunResult(
     system: String,
     app: String,

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.graph.PropertyGraph
 
 /** Redundancy-Reduction Guidance — the paper's preprocessing product.
@@ -44,41 +43,49 @@ object RRGuidance {
     if (sources.nonEmpty) sources else Set(g.vertexIds.min)
   }
 
-  /** Run Alg. 1: frontier expansion as Spark joins over the distributed edge
-    * list; the per-vertex `level`/`lastIter` bookkeeping lives on the driver
-    * (same layering as the execution engine). Each reachable vertex enters
-    * the frontier exactly once, so total edge work is one pass over the
-    * edges reachable from the roots — the paper's "extremely low overhead".
+  /** Run Alg. 1: each BFS frontier is expanded by one push over the edge
+    * blocks ([[EdgeOps.push]]); the per-vertex `level`/`lastIter`
+    * bookkeeping lives on the driver (same layering as the execution
+    * engine). Each reachable vertex enters the frontier exactly once, so
+    * total edge work is one pass over the edges reachable from the roots —
+    * the paper's "extremely low overhead".
     */
   def generate(g: PropertyGraph, roots: Set[Long]): RRGuidance = {
-    val spark = g.spark
-    import spark.implicits._
     val t0 = System.nanoTime()
-    val level = scala.collection.mutable.Map.empty[Long, Int]
-    val last = scala.collection.mutable.Map.empty[Long, Int]
-    roots.foreach(r => level(r) = 0)
-    var frontier: Array[Long] = roots.toArray.sorted
+    val l = g.layout
+    val n = l.numVertices
+    val level = Array.fill(n)(-1)
+    val last = new Array[Int](n) // 0: never touched
+    var frontier = roots.toArray.map { r =>
+      val i = l.indexOf(r)
+      require(i >= 0, s"root $r is not a vertex of ${g.name}")
+      i
+    }.sorted
+    frontier.foreach(level(_) = 0)
+    val zeros = new Array[Double](n)
     var iter = 1
     var comps = 0L
     while (frontier.nonEmpty) {
-      val fDf = frontier.toSeq.toDF("fsrc")
-      // All edges out of the frontier, aggregated per destination: the count
-      // is the edge work of this level, the keys are the touched vertices.
-      val touched = g.edges
-        .join(broadcast(fDf), col("src") === col("fsrc"))
-        .groupBy(col("dst"))
-        .agg(count(lit(1)) as "c")
-        .as[(Long, Long)]
-        .collect()
-      comps += touched.iterator.map(_._2).sum
-      touched.foreach { case (d, _) => last(d) = iter } // iter only grows
-      val newly = touched.iterator.map(_._1).filterNot(level.contains).toArray.sorted
-      newly.foreach(d => level(d) = iter)
-      frontier = newly
+      // All edges out of the frontier: their count is the edge work of this
+      // level, the vertices they reach are the touched ones.
+      val touched = EdgeOps.push(g, Expand, zeros, frontier)
+      comps += touched.edges
+      val newly = Array.newBuilder[Int]
+      for (i <- 0 until n if touched.received(i)) {
+        last(i) = iter // iter only grows
+        if (level(i) < 0) { level(i) = iter; newly += i }
+      }
+      frontier = newly.result()
       iter += 1
     }
-    val maxLevel = if (level.isEmpty) 0 else level.valuesIterator.max
-    RRGuidance(level.toMap, last.toMap, maxLevel, comps,
-      (System.nanoTime() - t0) / 1000000L)
+    def byId(a: Array[Int], keep: Int => Boolean): Map[Long, Int] =
+      a.indices.iterator.filter(i => keep(a(i))).map(i => l.ids(i) -> a(i)).toMap
+    val levels = byId(level, _ >= 0)
+    val maxLevel = if (levels.isEmpty) 0 else levels.valuesIterator.max
+    RRGuidance(levels, byId(last, _ > 0), maxLevel, comps, (System.nanoTime() - t0) / 1000000L)
   }
+
+  /** Frontier expansion as a vertex program: only its edge counts are read. */
+  private val Expand = VertexProgram("RRG", AggKind.Min, arith = false, _ => 0.0, _ => false,
+    (srcVal, _, _) => srcVal, (m, _) => m, (_, _) => false, 0.0)
 }

@@ -1,7 +1,8 @@
 package repro.core
 
+import java.util.BitSet
 import scala.collection.mutable.ArrayBuffer
-import repro.graph.PropertyGraph
+import repro.graph.{PropertyGraph, VertexMap}
 
 /** The SLFE execution engine (paper §3.3–3.5) and, with `rrg = None`, the
   * Gemini-like baseline it is built on: an adaptive push/pull vertex-centric
@@ -63,30 +64,29 @@ object SlfeEngine {
       val reactivated = mode == "push" && (prevMode == "pull" || verifying)
       if (reactivated) state = state.map(_.copy(active = true))
       val it0 = System.nanoTime()
-      val (aggMap, computedCount) = mode match {
+      val values = state.map(_.value)
+      val (msgs, computedCount) = mode match {
         case "pull" =>
-          val dsts = state.iterator.filter(v => if (rr) v.lastIter == iter else true).map(_.id).toSeq
-          if (dsts.size < state.length) needsVerify = true
-          val srcs = state.iterator.map(v => (v.id, v.value, v.outDeg)).toSeq
-          (EdgeOps.aggregate(g, prog, srcs, Some(dsts)), dsts.size.toLong)
+          val dsts = if (rr) Some(indexSet(state)(_.lastIter == iter)) else None
+          val computed = dsts.fold(state.length)(_.cardinality)
+          if (computed < state.length) needsVerify = true
+          (EdgeOps.pull(g, prog, values, dsts), computed.toLong)
         case _ =>
           if (reactivated) needsVerify = false // all-active push re-delivers everything
-          val srcs = state.iterator.filter(_.active).map(v => (v.id, v.value, v.outDeg)).toSeq
-          val m = EdgeOps.aggregate(g, prog, srcs, None)
-          (m, m.size.toLong)
+          val m = EdgeOps.push(g, prog, values, state.indices.filter(state(_).active).toArray)
+          (m, m.receivers.toLong)
       }
       var updates = 0L
-      state = state.map { v =>
-        aggMap.get(v.id) match {
-          case Some((m, _)) =>
-            val cand = prog.applyFn(m, v.value)
-            if (prog.improves(cand, v.value)) { updates += 1; v.copy(value = cand, active = true) }
-            else v.copy(active = false)
-          case None => v.copy(active = false)
-        }
+      val prev = state
+      state = Array.tabulate(prev.length) { i =>
+        val v = prev(i)
+        if (msgs.received(i)) {
+          val cand = prog.applyFn(msgs.agg(i), v.value)
+          if (prog.improves(cand, v.value)) { updates += 1; v.copy(value = cand, active = true) }
+          else v.copy(active = false)
+        } else v.copy(active = false)
       }
-      val comps = aggMap.valuesIterator.map(_._2).sum
-      stats += IterationStat(iter, mode, computedCount, comps, updates, updates,
+      stats += IterationStat(iter, mode, computedCount, msgs.edges, updates, updates,
         (System.nanoTime() - it0) / 1000000L)
       if (updates == 0) {
         if (!rr || !needsVerify) done = true // quiescence is exact (Theorem 1)
@@ -95,9 +95,8 @@ object SlfeEngine {
       prevMode = mode
     }
     require(done, s"$system/${prog.name} on ${g.name} hit maxIters=$maxIters before converging")
-    RunResult(system, prog.name, g.name,
-      state.iterator.map(v => v.id -> v.value).toMap, stats.toSeq,
-      (System.nanoTime() - t0) / 1000000L)
+    RunResult(system, prog.name, g.name, VertexMap.dense(g.vertexIds, state.map(_.value)),
+      stats.toSeq, (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Run an arithmetic application for `iters` pull iterations (the paper
@@ -121,13 +120,14 @@ object SlfeEngine {
     while (!done && iter < iters) {
       iter += 1
       val it0 = System.nanoTime()
-      val dsts = state.iterator.filter(computable).map(_.id).toSeq
-      val srcs = state.iterator.map(v => (v.id, v.value, v.outDeg)).toSeq
-      val aggMap = EdgeOps.aggregate(g, prog, srcs, Some(dsts))
+      val dsts = if (rr) Some(indexSet(state)(computable)) else None
+      val msgs = EdgeOps.pull(g, prog, state.map(_.value), dsts)
       var updates = 0L
-      state = state.map { v =>
+      val prev = state
+      state = Array.tabulate(prev.length) { i =>
+        val v = prev(i)
         if (computable(v)) {
-          val m = aggMap.get(v.id).map(_._1).getOrElse(prog.noMsgAgg)
+          val m = if (msgs.received(i)) msgs.agg(i) else prog.noMsgAgg
           val cand = prog.applyFn(m, v.value)
           val changed = prog.improves(cand, v.value)
           if (changed) updates += 1
@@ -135,13 +135,19 @@ object SlfeEngine {
             stableCnt = if (changed) 0 else v.stableCnt + 1)
         } else v.copy(active = false) // early-converged: serve the cached value
       }
-      val comps = aggMap.valuesIterator.map(_._2).sum
-      stats += IterationStat(iter, "pull", dsts.size.toLong, comps, updates, updates,
+      val computed = dsts.fold(state.length)(_.cardinality).toLong
+      stats += IterationStat(iter, "pull", computed, msgs.edges, updates, updates,
         (System.nanoTime() - it0) / 1000000L)
       if (earlyStop && updates == 0) done = true
     }
-    RunResult(system, prog.name, g.name,
-      state.iterator.map(v => v.id -> v.value).toMap, stats.toSeq,
-      (System.nanoTime() - t0) / 1000000L)
+    RunResult(system, prog.name, g.name, VertexMap.dense(g.vertexIds, state.map(_.value)),
+      stats.toSeq, (System.nanoTime() - t0) / 1000000L)
+  }
+
+  /** Dense indices of the vertices satisfying `p`. */
+  private def indexSet(state: Array[VState])(p: VState => Boolean): BitSet = {
+    val b = new BitSet(state.length)
+    for (i <- state.indices if p(state(i))) b.set(i)
+    b
   }
 }

@@ -1,31 +1,49 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-
 /** The aggregation-function class of a graph application (paper Table 1):
   * comparison (min/max) apps admit "start late", arithmetic (sum) apps
-  * admit "finish early".
+  * admit "finish early". `zero` is the identity of `combine`.
   */
-sealed trait AggKind
+sealed trait AggKind extends Serializable {
+  def zero: Double
+  def combine(acc: Double, m: Double): Double
+}
 object AggKind {
-  case object Min extends AggKind
-  case object Max extends AggKind
-  case object Sum extends AggKind
+  case object Min extends AggKind {
+    def zero: Double = Double.PositiveInfinity
+    def combine(acc: Double, m: Double): Double = if (m < acc) m else acc
+  }
+  case object Max extends AggKind {
+    def zero: Double = Double.NegativeInfinity
+    def combine(acc: Double, m: Double): Double = if (m > acc) m else acc
+  }
+  case object Sum extends AggKind {
+    def zero: Double = 0.0
+    def combine(acc: Double, m: Double): Double = acc + m
+  }
+}
+
+/** The per-edge message of a vertex program, evaluated inside the edge
+  * blocks on the executors. A function literal `(srcVal, w, deg) => ...`
+  * converts to it; its primitive signature keeps the edge loops unboxed.
+  */
+trait Message extends Serializable {
+  def apply(srcVal: Double, weight: Double, srcOutDeg: Long): Double
 }
 
 /** A user-defined vertex program, the SLFE analogue of the paper's
   * (pushFunc, pullFunc, vertexFunc) triple (Table 3, Alg. 4/5).
   *
-  * `msg` is a Catalyst expression evaluated per edge inside the Spark plan
-  * (srcValue, edgeWeight, srcOutDegree) — the distributed, heavy part.
-  * `applyFn`/`improves` are the per-vertex master-side apply step, plain
-  * Scala over the aggregated message, like a Pregel master compute.
+  * `msg` is evaluated per edge over the partitioned edge blocks — the
+  * distributed, heavy part. `applyFn`/`improves` are the per-vertex
+  * master-side apply step, plain Scala over the aggregated message, like a
+  * Pregel master compute.
   *
   * @param agg       aggregation combining all messages into a vertex
   * @param arith     true for arithmetic (finish-early) applications
   * @param initValue initial vertex property
   * @param initActive initially active vertices (e.g. the SSSP root)
-  * @param msg       per-edge message: (srcVal, weight, srcOutDeg) => Column
+  * @param msg       per-edge message from (srcVal, weight, srcOutDeg)
   * @param applyFn   (aggregatedMsg, oldValue) => candidate new value
   * @param improves  (candidate, oldValue) => does this change the vertex
   *                  (min/max: strict improvement; arith: |delta| > eps)
@@ -39,7 +57,7 @@ final case class VertexProgram(
     arith: Boolean,
     initValue: Long => Double,
     initActive: Long => Boolean,
-    msg: (Column, Column, Column) => Column,
+    msg: Message,
     applyFn: (Double, Double) => Double,
     improves: (Double, Double) => Boolean,
     noMsgAgg: Double,

@@ -9,45 +9,39 @@ import org.apache.spark.sql.functions._
   * of distinct edge endpoints (real-world graph datasets are edge lists;
   * isolated vertices carry no information for any of the five applications).
   *
-  * Edge traversal stays distributed (Spark SQL); small per-vertex metadata
-  * (ids, degrees, out-adjacency) is collected once and memoised on the
-  * driver. This mirrors Gemini's layering — dense in-memory vertex arrays
-  * with distributed edge processing — which SLFE inherits (paper §3.1).
+  * The engines run on [[layout]], Gemini's layering which SLFE inherits
+  * (paper §3.1): dense vertex arrays on the driver, edges in per-chunk
+  * CSR/CSC blocks cached on the executors. The vertex ids, degrees and
+  * out-adjacency below are views over the layout's arrays.
   */
 final case class PropertyGraph(edges: DataFrame, name: String = "g") {
 
   lazy val spark: SparkSession = edges.sparkSession
 
-  /** Distinct vertex ids, ascending. */
-  lazy val vertexIds: Array[Long] = {
-    import spark.implicits._
-    edges.select($"src").union(edges.select($"dst")).distinct().as[Long].collect().sorted
+  private var built: Option[EdgeLayout] = None
+
+  /** The edge layout, built by one collect of the edges on first use and
+    * dropped by [[unpersist]] (a later use builds it again).
+    */
+  def layout: EdgeLayout = synchronized {
+    if (built.isEmpty) built = Some(EdgeLayout.build(edges, name))
+    built.get
   }
 
-  lazy val numVertices: Long = vertexIds.length.toLong
-  lazy val numEdges: Long = edges.count()
+  /** Distinct vertex ids, ascending: vertex `vertexIds(i)` has dense index `i`. */
+  def vertexIds: Array[Long] = layout.ids
+
+  def numVertices: Long = layout.numVertices.toLong
+  def numEdges: Long = layout.numEdges
 
   /** Out-degree per vertex (0 for pure sinks). */
-  lazy val outDeg: Map[Long, Long] = degreeMap("src")
+  lazy val outDeg: Map[Long, Long] = { val l = layout; VertexMap(l.ids, l.outDeg(_).toLong) }
 
   /** In-degree per vertex (0 for pure sources). */
-  lazy val inDeg: Map[Long, Long] = degreeMap("dst")
+  lazy val inDeg: Map[Long, Long] = { val l = layout; VertexMap(l.ids, l.inDeg(_).toLong) }
 
-  private def degreeMap(endpoint: String): Map[Long, Long] = {
-    import spark.implicits._
-    val m = edges.groupBy(col(endpoint)).count().as[(Long, Long)].collect().toMap
-    vertexIds.iterator.map(v => v -> m.getOrElse(v, 0L)).toMap
-  }
-
-  /** Driver-side out-adjacency — bookkeeping for baseline signal sets; the
-    * compute path (gather/scatter) always goes through Spark joins.
-    */
-  lazy val outNbrs: Map[Long, Array[Long]] = {
-    import spark.implicits._
-    val m = edges.select($"src", $"dst").as[(Long, Long)].collect()
-      .groupBy(_._1).map { case (s, arr) => s -> arr.map(_._2) }
-    vertexIds.iterator.map(v => v -> m.getOrElse(v, Array.empty[Long])).toMap
-  }
+  /** Out-neighbours per vertex (empty for pure sinks). */
+  lazy val outNbrs: Map[Long, Array[Long]] = { val l = layout; VertexMap(l.ids, l.outNbrIds) }
 
   /** Vertex ids as a single-column DataFrame (for oracle queries). */
   def vertices: DataFrame = {
@@ -62,7 +56,11 @@ final case class PropertyGraph(edges: DataFrame, name: String = "g") {
   def inDegrees: DataFrame = edges.groupBy(col("dst") as "id").agg(count(lit(1)) as "deg")
 
   /** Highest-out-degree vertex, smallest id on ties — the bench root. */
-  lazy val maxOutDegVertex: Long = vertexIds.minBy(v => (-outDeg(v), v))
+  lazy val maxOutDegVertex: Long = {
+    val l = layout
+    require(l.numVertices > 0, s"graph $name has no vertices")
+    l.ids(l.outDeg.indices.maxBy(i => (l.outDeg(i), -i)))
+  }
 
   /** Undirected view: original plus reversed edges, de-duplicated.
     * Weights ride along (CC ignores them; symmetric pairs keep both rows
@@ -76,5 +74,10 @@ final case class PropertyGraph(edges: DataFrame, name: String = "g") {
   /** Materialise and pin the edge list; returns `this` for chaining. */
   def cached(): PropertyGraph = { edges.persist(); edges.count(); this }
 
-  def unpersist(): Unit = { edges.unpersist(); () }
+  /** Drop the cached edge list and the layout's edge blocks. */
+  def unpersist(): Unit = synchronized {
+    edges.unpersist()
+    built.foreach(_.unpersist())
+    built = None
+  }
 }

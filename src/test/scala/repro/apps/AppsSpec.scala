@@ -1,12 +1,12 @@
 package repro.apps
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.AggKind
 
 /** Unit tests of the vertex-program definitions themselves (paper Table 1's
   * taxonomy and Table 3's API surface).
   */
-class AppsSpec extends SparkSpec {
+class AppsSpec extends AnyFunSuite {
 
   test("taxonomy: SSSP/CC/WP are comparison apps, PR/TR arithmetic (Table 1)") {
     assert(Apps.sssp(0L).agg == AggKind.Min && !Apps.sssp(0L).arith)
@@ -53,13 +53,11 @@ class AppsSpec extends SparkSpec {
     assert(p.applyFn(2.5, 7.0) == 2.5 && p.noMsgAgg == 0.0)
   }
 
-  test("message expressions evaluate correctly inside a Spark plan") {
-    import spark.implicits._
-    import org.apache.spark.sql.functions.col
-    val df = Seq((4.0, 3.0, 2L)).toDF("srcVal", "weight", "srcOutDeg")
-    def eval(p: repro.core.VertexProgram): Double =
-      df.select(p.msg(col("srcVal"), col("weight"), col("srcOutDeg")) as "m").head.getDouble(0)
+  test("message functions compute the per-edge messages") {
+    // srcVal 4, weight 3, source out-degree 2.
+    def eval(p: repro.core.VertexProgram): Double = p.msg(4.0, 3.0, 2L)
     assert(eval(Apps.sssp(0L)) == 7.0)            // srcVal + w
+    assert(eval(Apps.sssp(0L, unitWeight = true)) == 5.0) // srcVal + 1
     assert(eval(Apps.cc) == 4.0)                  // srcVal
     assert(eval(Apps.wp(0L)) == 3.0)              // min(srcVal, w)
     assert(eval(Apps.pagerank()) == 2.0)          // srcVal / outDeg

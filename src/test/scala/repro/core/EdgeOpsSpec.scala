@@ -67,3 +67,88 @@ class EdgeOpsSpec extends SparkSpec {
     assert(st.forall(_.lastIter == 0) && st.forall(_.active))
   }
 }
+
+/** `EdgeOps.aggregate` over the edge blocks against a brute-force fold over
+  * the edge list, on random graphs with random source and destination sets.
+  */
+class EdgeOpsKernelSpec extends SparkSpec {
+  import TestUtil._
+  import repro.graph.{GraphGen, PropertyGraph}
+
+  override def beforeAll(): Unit = { super.beforeAll(); tuneForIteration(spark) }
+
+  private type Agg = Map[Long, (Double, Long)]
+
+  private def bruteForce(edges: Seq[(Long, Long, Double)], prog: VertexProgram,
+                         srcs: Seq[(Long, Double, Long)], dsts: Option[Seq[Long]]): Agg = {
+    val src = srcs.map(s => s._1 -> s).toMap
+    val dst = dsts.map(_.toSet)
+    edges.filter { case (s, d, _) => src.contains(s) && dst.forall(_.contains(d)) }
+      .groupBy(_._2).map { case (d, es) =>
+        val ms = es.map { case (s, _, w) => prog.msg(src(s)._2, w, src(s)._3) }
+        d -> (ms.foldLeft(prog.agg.zero)(prog.agg.combine), es.size.toLong)
+      }
+  }
+
+  /** Same keys and counts; values equal, or within 1e-12 relative for sums. */
+  private def assertSame(got: Agg, want: Agg, prog: VertexProgram, clue: String): Unit = {
+    assert(got.keySet == want.keySet, clue)
+    want.foreach { case (d, (m, c)) =>
+      val (gm, gc) = got(d)
+      assert(gc == c, s"$clue: count of $d")
+      if (prog.agg == AggKind.Sum) assert(math.abs(gm - m) <= 1e-12 * math.abs(m), s"$clue: $gm vs $m at $d")
+      else assert(gm == m, s"$clue: $gm vs $m at $d")
+    }
+  }
+
+  test("aggregate matches a brute-force fold on random graphs; push and pull agree") {
+    val rnd = new scala.util.Random(5)
+    val gs = Seq(
+      PropertyGraph(GraphGen.rmat(spark, 7, 500, 41), "rmat").cached(),
+      PropertyGraph(GraphGen.uniform(spark, 80, 300, 42), "uniform").cached())
+    for (g <- gs) {
+      val edges = collectEdges(g)
+      val ids = g.vertexIds.toSeq
+      val progs = Seq(Apps.sssp(ids.head), Apps.sssp(ids.head, unitWeight = true), Apps.cc,
+        Apps.wp(ids.head), Apps.pagerank(), Apps.tunkrank())
+      for (prog <- progs; trial <- 1 to 3) {
+        val clue = s"${g.name} ${prog.name} trial $trial"
+        val values = ids.map(v => v -> rnd.nextInt(20).toDouble * rnd.nextDouble()).toMap
+        val some = ids.filter(_ => rnd.nextDouble() < 0.3)
+        val all = ids.map(v => (v, values(v), g.outDeg(v)))
+        val part = all.filter(s => some.contains(s._1) || rnd.nextDouble() < 0.2)
+        val dsts = ids.filter(_ => rnd.nextDouble() < 0.5)
+        for ((srcs, ds) <- Seq((all, None), (all, Some(dsts)), (part, None), (part, Some(dsts))))
+          assertSame(EdgeOps.aggregate(g, prog, srcs, ds), bruteForce(edges, prog, srcs, ds), prog,
+            s"$clue srcs=${srcs.size} dsts=${ds.map(_.size)}")
+        // The same partial source set by push (all destinations implied) and by pull.
+        assertSame(EdgeOps.aggregate(g, prog, part, None), EdgeOps.aggregate(g, prog, part, Some(ids)),
+          prog, s"$clue push vs pull")
+      }
+      g.unpersist()
+    }
+  }
+
+  test("one aggregate call is one Spark job of one stage") {
+    val g = PropertyGraph(GraphGen.rmat(spark, 7, 300, 43)).cached()
+    val srcs = g.vertexIds.toSeq.map(v => (v, 1.0, g.outDeg(v)))
+    val sc = spark.sparkContext
+    for (dsts <- Seq(None, Some(g.vertexIds.toSeq.take(10)))) {
+      val group = s"edgeops-${dsts.isDefined}"
+      sc.setJobGroup(group, group)
+      try EdgeOps.aggregate(g, Apps.pagerank(), srcs, dsts) finally sc.clearJobGroup()
+      val deadline = System.nanoTime() + 5000000000L
+      while (sc.statusTracker.getJobIdsForGroup(group).isEmpty && System.nanoTime() < deadline) Thread.sleep(20)
+      Thread.sleep(200)
+      val jobs = sc.statusTracker.getJobIdsForGroup(group)
+      assert(jobs.length == 1, jobs.toSeq)
+      assert(sc.statusTracker.getJobInfo(jobs.head).get.stageIds.length == 1)
+    }
+    g.unpersist()
+  }
+
+  test("a source out-degree that disagrees with the graph fails loudly") {
+    val g = figure1(spark)
+    intercept[IllegalArgumentException](EdgeOps.aggregate(g, Apps.pagerank(), Seq((0L, 1.0, 5L)), None))
+  }
+}
