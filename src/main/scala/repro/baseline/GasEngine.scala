@@ -53,14 +53,14 @@ object GasEngine {
         else updated.iterator.map(l.outDeg(_).toLong).sum
       val computed = if (dense) g.numVertices else signaled.cardinality.toLong
       stats += IterationStat(iter, if (dense) "gas-dense" else "gas-signaled",
-        computed, msgs.edges + scatterComps, updates, updates,
+        computed, msgs.edges + scatterComps, updates,
         (System.nanoTime() - it0) / 1000000L)
       if (!dense) signaled = outNbrSet(l, updated)
       done = if (dense) updates == 0 else signaled.isEmpty
     }
     require(done, s"$system/${prog.name} on ${g.name} hit maxIters=$maxIters before converging")
     RunResult(system, prog.name, g.name, VertexMap.dense(g.vertexIds, state.map(_.value)),
-      stats.toSeq, (System.nanoTime() - t0) / 1000000L)
+      stats.toVector, (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Arithmetic applications: both variants gather *every* vertex each
@@ -90,12 +90,12 @@ object GasEngine {
         if (dense) g.numEdges
         else updated.iterator.map(l.outDeg(_).toLong).sum
       stats += IterationStat(iter, if (dense) "gas-dense" else "gas-signaled",
-        g.numVertices, msgs.edges + scatterComps, updates, updates,
+        g.numVertices, msgs.edges + scatterComps, updates,
         (System.nanoTime() - it0) / 1000000L)
       if (earlyStop && updates == 0) done = true
     }
     RunResult(system, prog.name, g.name, VertexMap.dense(g.vertexIds, state.map(_.value)),
-      stats.toSeq, (System.nanoTime() - t0) / 1000000L)
+      stats.toVector, (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Apply step: every vertex with `computed(i)` applies its aggregate (the

@@ -37,9 +37,13 @@ object Harness {
 
   def prepare(spark: SparkSession, spec: GraphGen.GraphSpec): Prepared = {
     val g = GraphGen.build(spark, spec)
-    val sym = g.symmetrize.cached()
-    // The engines' edge blocks, built here so that set-up pays for them.
+    val sym = g.symmetrize
+    // The engines' edge blocks, built here so that set-up pays for them. The
+    // engines read only the layouts, so no edge list stays cached (`sym`'s
+    // is computed once, for its layout); oracles recompute the deterministic
+    // edges if they need them.
     g.layout; sym.layout
+    g.edges.unpersist()
     val root = g.maxOutDegVertex
     // One guidance per traversal graph, generated once and reused by every
     // application on it (the paper's reuse story, §4.4 footnote 4).

@@ -1,7 +1,8 @@
 package repro.core
 
 import java.util.BitSet
-import repro.graph.{EdgeBlock, PropertyGraph, VertexMap}
+import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Executors}
+import repro.graph.{EdgeBlock, EdgeLayout, PropertyGraph, VertexMap}
 
 /** One vertex's mutable state during an engine run. */
 final case class VState(
@@ -27,18 +28,49 @@ final class Messages(val agg: Array[Double], val count: Array[Int]) {
   def receivers: Int = count.count(_ > 0)
 }
 
-/** The distributed half of every engine: messages over the graph's
-  * partitioned edge blocks ([[repro.graph.EdgeLayout]]), combined per
-  * destination. Each call is one Spark job over the cached blocks, one task
-  * per chunk, with no shuffle. Pull walks the CSC in-edges of the selected
-  * destinations; push walks the CSR out-edges of the active sources, as in
-  * Gemini's dense and sparse modes. Each block returns dense arrays over
-  * its own destination range, and the driver lays them side by side.
+/** The edge half of every engine: messages over the graph's partitioned
+  * edge blocks ([[repro.graph.EdgeLayout]]), combined per destination. As in
+  * Gemini's single-node runtime, each call runs one task per chunk on a
+  * fixed in-process worker pool and waits for all of them. Pull walks the
+  * CSC in-edges of the selected destinations; push walks the CSR out-edges
+  * of the active sources, as in Gemini's dense and sparse modes. Each chunk
+  * returns dense arrays over its own destination range, and the caller lays
+  * them side by side in chunk order. No Spark job runs, so the edge passes
+  * run in the calling JVM whatever the Spark master.
   */
 private[repro] object EdgeOps {
 
   /** One chunk's share of an aggregation; null arrays when it processed no edge. */
   private final case class Partial(lo: Int, agg: Array[Double], count: Array[Int])
+
+  private var pool: ExecutorService = _
+
+  /** The worker pool, created on first use with as many daemon threads as
+    * the Spark context's default parallelism (`local[n]` sets it to n).
+    */
+  private def workers(g: PropertyGraph): ExecutorService = synchronized {
+    if (pool == null) {
+      val n = g.spark.sparkContext.defaultParallelism.max(1)
+      pool = Executors.newFixedThreadPool(n, (r: Runnable) => {
+        val t = new Thread(r, "edgeops-worker")
+        t.setDaemon(true)
+        t
+      })
+    }
+    pool
+  }
+
+  /** `task` on every block, one pool task each; the partials in chunk order.
+    * A failing task fails the call with its own exception.
+    */
+  private def perChunk(g: PropertyGraph, l: EdgeLayout)(task: EdgeBlock => Partial): Messages = {
+    val pool = workers(g)
+    val futures = l.blocks.map(b => pool.submit(new Callable[Partial] { def call(): Partial = task(b) }))
+    val parts =
+      try futures.map(_.get)
+      catch { case e: ExecutionException => futures.foreach(_.cancel(true)); throw e.getCause }
+    assemble(l.numVertices, parts)
+  }
 
   /** Pull: each destination in `dsts` (None: all) gathers over its in-edges
     * from the sources in `srcs` (None: all), reading source values from the
@@ -50,7 +82,7 @@ private[repro] object EdgeOps {
     require(values.length == l.numVertices)
     if (dsts.exists(_.isEmpty) || srcs.exists(_.isEmpty)) return none(l.numVertices)
     val (msg, agg, d, s) = (prog.msg, prog.agg, dsts.orNull, srcs.orNull)
-    assemble(l.numVertices, l.blocks.map(pullBlock(_, msg, agg, values, d, s)).collect())
+    perChunk(g, l)(pullBlock(_, msg, agg, values, d, s))
   }
 
   /** Push: the sources `srcs` (dense indices) send their value in `values`
@@ -61,7 +93,7 @@ private[repro] object EdgeOps {
     require(values.length == l.numVertices)
     if (srcs.isEmpty) return none(l.numVertices)
     val (msg, agg, sv) = (prog.msg, prog.agg, srcs.map(values))
-    assemble(l.numVertices, l.blocks.map(pushBlock(_, msg, agg, srcs, sv)).collect())
+    perChunk(g, l)(pushBlock(_, msg, agg, srcs, sv))
   }
 
   /** Aggregate messages into destinations, by vertex id.

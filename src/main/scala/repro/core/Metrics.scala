@@ -13,7 +13,6 @@ final case class IterationStat(
     computedVertices: Long,
     edgeComputations: Long,
     updates: Long,
-    activeAfter: Long,
     millis: Long,
 )
 

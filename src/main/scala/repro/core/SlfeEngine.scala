@@ -86,7 +86,7 @@ object SlfeEngine {
           else v.copy(active = false)
         } else v.copy(active = false)
       }
-      stats += IterationStat(iter, mode, computedCount, msgs.edges, updates, updates,
+      stats += IterationStat(iter, mode, computedCount, msgs.edges, updates,
         (System.nanoTime() - it0) / 1000000L)
       if (updates == 0) {
         if (!rr || !needsVerify) done = true // quiescence is exact (Theorem 1)
@@ -96,7 +96,7 @@ object SlfeEngine {
     }
     require(done, s"$system/${prog.name} on ${g.name} hit maxIters=$maxIters before converging")
     RunResult(system, prog.name, g.name, VertexMap.dense(g.vertexIds, state.map(_.value)),
-      stats.toSeq, (System.nanoTime() - t0) / 1000000L)
+      stats.toVector, (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Run an arithmetic application for `iters` pull iterations (the paper
@@ -136,12 +136,12 @@ object SlfeEngine {
         } else v.copy(active = false) // early-converged: serve the cached value
       }
       val computed = dsts.fold(state.length)(_.cardinality).toLong
-      stats += IterationStat(iter, "pull", computed, msgs.edges, updates, updates,
+      stats += IterationStat(iter, "pull", computed, msgs.edges, updates,
         (System.nanoTime() - it0) / 1000000L)
       if (earlyStop && updates == 0) done = true
     }
     RunResult(system, prog.name, g.name, VertexMap.dense(g.vertexIds, state.map(_.value)),
-      stats.toSeq, (System.nanoTime() - t0) / 1000000L)
+      stats.toVector, (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Dense indices of the vertices satisfying `p`. */

@@ -4,7 +4,7 @@ package repro.core
   * comparison (min/max) apps admit "start late", arithmetic (sum) apps
   * admit "finish early". `zero` is the identity of `combine`.
   */
-sealed trait AggKind extends Serializable {
+sealed trait AggKind {
   def zero: Double
   def combine(acc: Double, m: Double): Double
 }
@@ -23,11 +23,12 @@ object AggKind {
   }
 }
 
-/** The per-edge message of a vertex program, evaluated inside the edge
-  * blocks on the executors. A function literal `(srcVal, w, deg) => ...`
+/** The per-edge message of a vertex program, evaluated by the chunk tasks
+  * over the edge blocks. A function literal `(srcVal, w, deg) => ...`
   * converts to it; its primitive signature keeps the edge loops unboxed.
+  * Tasks of concurrent calls may run it at once, so it must be pure.
   */
-trait Message extends Serializable {
+trait Message {
   def apply(srcVal: Double, weight: Double, srcOutDeg: Long): Double
 }
 
@@ -35,7 +36,7 @@ trait Message extends Serializable {
   * (pushFunc, pullFunc, vertexFunc) triple (Table 3, Alg. 4/5).
   *
   * `msg` is evaluated per edge over the partitioned edge blocks — the
-  * distributed, heavy part. `applyFn`/`improves` are the per-vertex
+  * heavy, parallel part. `applyFn`/`improves` are the per-vertex
   * master-side apply step, plain Scala over the aggregated message, like a
   * Pregel master compute.
   *

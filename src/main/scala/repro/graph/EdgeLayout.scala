@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import repro.partition.Chunking
 
@@ -15,7 +14,7 @@ import repro.partition.Chunking
   *    ascending. `outOff` spans every source of the graph.
   *
   * `outDeg` is the whole graph's out-degree array, which messages read
-  * (PageRank divides by it).
+  * (PageRank divides by it); every block of a layout shares the one array.
   */
 final class EdgeBlock(
     val lo: Int,
@@ -27,19 +26,17 @@ final class EdgeBlock(
     val outDst: Array[Int],
     val outW: Array[Double],
     val outDeg: Array[Int],
-) extends Serializable {
+) {
   def numEdges: Int = inSrc.length
 }
 
-/** A graph's edges laid out once for the engines.
-  *
-  * On the driver: the dense index `0..n-1` over the ascending vertex ids,
-  * the degree arrays, and the out-adjacency in CSR form (`adjOff`/`adjDst`,
-  * for the bookkeeping of PowerL's signal sets). On the executors: one
-  * [[EdgeBlock]] per destination chunk, chunks cut by `partition.Chunking`
-  * so that their in-edge counts balance, kept as an RDD with one partition
-  * per chunk. Every aggregation is one Spark job over `blocks`, without a
-  * shuffle.
+/** A graph's edges laid out once for the engines, in local memory: the
+  * dense index `0..n-1` over the ascending vertex ids, the degree arrays, the
+  * out-adjacency in CSR form (`adjOff`/`adjDst`, for the bookkeeping of
+  * PowerL's signal sets), and one [[EdgeBlock]] per destination chunk,
+  * chunks cut by `partition.Chunking` so that their in-edge counts balance.
+  * Every aggregation runs one in-process task per block
+  * ([[repro.core.EdgeOps]]).
   */
 final class EdgeLayout private (
     val ids: Array[Long],
@@ -48,7 +45,7 @@ final class EdgeLayout private (
     val adjOff: Array[Int],
     val adjDst: Array[Int],
     val chunkStarts: Array[Int],
-    val blocks: RDD[EdgeBlock],
+    val blocks: Array[EdgeBlock],
 ) {
   def numVertices: Int = ids.length
   def numEdges: Long = adjDst.length.toLong
@@ -62,8 +59,6 @@ final class EdgeLayout private (
 
   /** Out-neighbours of vertex index `i`, as vertex ids. */
   def outNbrIds(i: Int): Array[Long] = adjDst.slice(adjOff(i), adjOff(i + 1)).map(ids)
-
-  def unpersist(): Unit = { blocks.unpersist(blocking = false); () }
 }
 
 object EdgeLayout {
@@ -123,13 +118,7 @@ object EdgeLayout {
       new EdgeBlock(lo, hi, inOff.slice(lo, hi + 1).map(_ - inOff(lo)), in.map(src), in.map(weight),
         offsets(outCount), out.map(dst), out.map(weight), outDeg)
     }
-    // A local checkpoint keeps each block in the block manager and cuts the
-    // lineage, so later jobs ship no edge data with their tasks. It is taken
-    // one map away from `parallelize`, whose RDD would pin the driver's copy.
-    val rdd = spark.sparkContext.parallelize(blocks.toIndexedSeq, k).mapPartitions(it => it)
-      .setName(s"$name edge blocks").localCheckpoint()
-    rdd.count()
-    new EdgeLayout(ids, outDeg, inDeg, adjOff, bySrc.map(dst), chunkStarts, rdd)
+    new EdgeLayout(ids, outDeg, inDeg, adjOff, bySrc.map(dst), chunkStarts, blocks)
   }
 
   private def distinctSorted(xs: Array[Long]): Array[Long] = {

@@ -10,9 +10,10 @@ import org.apache.spark.sql.functions._
   * isolated vertices carry no information for any of the five applications).
   *
   * The engines run on [[layout]], Gemini's layering which SLFE inherits
-  * (paper §3.1): dense vertex arrays on the driver, edges in per-chunk
-  * CSR/CSC blocks cached on the executors. The vertex ids, degrees and
-  * out-adjacency below are views over the layout's arrays.
+  * (paper §3.1): dense vertex arrays and per-chunk CSR/CSC edge blocks, all
+  * in local memory, which the engines' chunk tasks read in place. The
+  * vertex ids, degrees and out-adjacency below are views over the layout's
+  * arrays.
   */
 final case class PropertyGraph(edges: DataFrame, name: String = "g") {
 
@@ -74,10 +75,9 @@ final case class PropertyGraph(edges: DataFrame, name: String = "g") {
   /** Materialise and pin the edge list; returns `this` for chaining. */
   def cached(): PropertyGraph = { edges.persist(); edges.count(); this }
 
-  /** Drop the cached edge list and the layout's edge blocks. */
+  /** Drop the cached edge list and the layout. */
   def unpersist(): Unit = synchronized {
     edges.unpersist()
-    built.foreach(_.unpersist())
     built = None
   }
 }

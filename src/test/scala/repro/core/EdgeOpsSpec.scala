@@ -3,7 +3,7 @@ package repro.core
 import repro.{SparkSpec, TestUtil}
 import repro.apps.Apps
 
-/** The distributed aggregation primitive every engine is built on. */
+/** The edge-pass primitive every engine is built on. */
 class EdgeOpsSpec extends SparkSpec {
   import TestUtil._
 
@@ -129,7 +129,7 @@ class EdgeOpsKernelSpec extends SparkSpec {
     }
   }
 
-  test("one aggregate call is one Spark job of one stage") {
+  test("an aggregate call starts no Spark job") {
     val g = PropertyGraph(GraphGen.rmat(spark, 7, 300, 43)).cached()
     val srcs = g.vertexIds.toSeq.map(v => (v, 1.0, g.outDeg(v)))
     val sc = spark.sparkContext
@@ -137,14 +137,47 @@ class EdgeOpsKernelSpec extends SparkSpec {
       val group = s"edgeops-${dsts.isDefined}"
       sc.setJobGroup(group, group)
       try EdgeOps.aggregate(g, Apps.pagerank(), srcs, dsts) finally sc.clearJobGroup()
-      val deadline = System.nanoTime() + 5000000000L
-      while (sc.statusTracker.getJobIdsForGroup(group).isEmpty && System.nanoTime() < deadline) Thread.sleep(20)
       Thread.sleep(200)
-      val jobs = sc.statusTracker.getJobIdsForGroup(group)
-      assert(jobs.length == 1, jobs.toSeq)
-      assert(sc.statusTracker.getJobInfo(jobs.head).get.stageIds.length == 1)
+      assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty)
     }
     g.unpersist()
+  }
+
+  test("a failing message fails the call with its type") {
+    val g = PropertyGraph(GraphGen.rmat(spark, 7, 300, 44).repartition(4))
+    val i = g.layout.outDeg.indexWhere(_ > 0)
+    val v = g.vertexIds(i)
+    val bad = Apps.cc.copy(msg = (srcVal, _, _) => {
+      require(srcVal != v.toDouble, s"message from $v")
+      srcVal
+    })
+    val values = g.vertexIds.map(_.toDouble)
+    val e = intercept[IllegalArgumentException](EdgeOps.pull(g, bad, values, None))
+    assert(e.getMessage.contains(s"message from $v"))
+    intercept[IllegalArgumentException](EdgeOps.push(g, bad, values, Array(i)))
+    // The pool survives a failed call.
+    assert(EdgeOps.pull(g, Apps.cc, values, None).edges == g.numEdges)
+  }
+
+  test("concurrent engine runs match sequential runs") {
+    val gs = Seq(PropertyGraph(GraphGen.rmat(spark, 8, 1200, 45).repartition(4), "rmat"),
+      PropertyGraph(GraphGen.uniform(spark, 150, 600, 46).repartition(3), "uniform"))
+    val runs: Seq[() => RunResult] = gs.flatMap { g =>
+      val root = g.maxOutDegVertex
+      val rrg = RRGuidance.generate(g, Set(root))
+      Seq(() => SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg)),
+        () => SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = 40, earlyStop = true))
+    }
+    val sequential = runs.map(_())
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(runs.size)
+    try {
+      val concurrent = runs.map(r => pool.submit(new java.util.concurrent.Callable[RunResult] { def call() = r() }))
+        .map(_.get)
+      sequential.zip(concurrent).foreach { case (a, b) =>
+        assert(a.values == b.values, s"${a.app} on ${a.graph}")
+        assert(a.stats.map(_.copy(millis = 0)) == b.stats.map(_.copy(millis = 0)), s"${a.app} on ${a.graph}")
+      }
+    } finally pool.shutdown()
   }
 
   test("a source out-degree that disagrees with the graph fails loudly") {

@@ -84,8 +84,8 @@ class EngineEdgeCasesSpec extends SparkSpec {
 
   test("RunResult aggregate helpers") {
     val stats = Seq(
-      IterationStat(1, "pull", 10, 100, 5, 5, 1),
-      IterationStat(2, "push", 4, 40, 2, 2, 1))
+      IterationStat(1, "pull", 10, 100, 5, 1),
+      IterationStat(2, "push", 4, 40, 2, 1))
     val r = RunResult("S", "A", "G", Map(1L -> 0.0), stats, 2)
     assert(r.totalComputations == 140 && r.totalUpdates == 7)
     assert(r.totalVertexComputations == 14)

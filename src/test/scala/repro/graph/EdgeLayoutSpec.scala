@@ -17,7 +17,7 @@ class EdgeLayoutSpec extends SparkSpec {
   test("chunks partition the dense index exactly and hold every edge once") {
     graphs.foreach { g =>
       val l = g.layout
-      val blocks = l.blocks.collect()
+      val blocks = l.blocks
       assert(blocks.length == l.numChunks && l.numChunks == g.edges.rdd.getNumPartitions, g.name)
       assert(blocks.head.lo == 0 && blocks.last.hi == l.numVertices, g.name)
       blocks.sliding(2).foreach { case Array(a, b) => assert(a.hi == b.lo, g.name); case _ => }
@@ -28,7 +28,7 @@ class EdgeLayoutSpec extends SparkSpec {
 
   test("an edgeless graph has an empty layout that the engines accept") {
     val g = graph(spark, Seq.empty)
-    assert(g.numVertices == 0 && g.numEdges == 0 && g.layout.blocks.count() == g.layout.numChunks)
+    assert(g.numVertices == 0 && g.numEdges == 0 && g.layout.blocks.length == g.layout.numChunks)
     val r = repro.core.SlfeEngine.edgeProcMinMax(g, repro.apps.Apps.cc, None, "Gemini")
     assert(r.values.isEmpty && r.totalComputations == 0)
   }
@@ -37,7 +37,7 @@ class EdgeLayoutSpec extends SparkSpec {
     graphs.foreach { g =>
       val l = g.layout
       val edges = collectEdges(g).map { case (s, d, w) => (l.indexOf(s), l.indexOf(d), w) }
-      l.blocks.collect().foreach { b =>
+      l.blocks.foreach { b =>
         val csc = for (d <- b.lo until b.hi; e <- b.inOff(d - b.lo) until b.inOff(d - b.lo + 1))
           yield (b.inSrc(e), d, b.inW(e))
         val csr = for (s <- 0 until l.numVertices; e <- b.outOff(s) until b.outOff(s + 1))
@@ -56,7 +56,7 @@ class EdgeLayoutSpec extends SparkSpec {
   test("chunks balance in-edges: no chunk exceeds its share by more than one vertex's in-degree") {
     val g = PropertyGraph(GraphGen.rmat(spark, 9, 3000, 33).repartition(4), "rmat")
     val l = g.layout
-    val loads = l.blocks.collect().map(_.numEdges)
+    val loads = l.blocks.map(_.numEdges)
     assert(loads.max <= g.numEdges / 4 + 1 + l.inDeg.max, loads.toSeq)
   }
 
@@ -80,13 +80,15 @@ class EdgeLayoutSpec extends SparkSpec {
     assert(graph(spark, Seq((0L, (1L << 53) - 1, 1.0))).numVertices == 2)
   }
 
-  test("unpersist drops the edge blocks from the persistent RDDs") {
-    val g = PropertyGraph(GraphGen.uniform(spark, 20, 40, 34)).cached()
-    val (id, m) = (g.layout.blocks.id, g.numEdges)
-    assert(spark.sparkContext.getPersistentRDDs.contains(id))
+  test("the layout holds no RDD; unpersist rebuilds it") {
+    val sc = spark.sparkContext
+    val g = PropertyGraph(GraphGen.uniform(spark, 20, 40, 34))
+    val before = sc.getPersistentRDDs.keySet
+    val (l, m) = (g.layout, g.numEdges)
+    assert(sc.getPersistentRDDs.keySet == before)
     g.unpersist()
-    assert(!spark.sparkContext.getPersistentRDDs.contains(id))
-    assert(g.numEdges == m) // a later use builds the layout again
+    assert(g.numEdges == m && !(g.layout eq l)) // a later use builds the layout again
+    assert(g.layout.blocks.map(_.numEdges).sum == m)
     g.unpersist()
   }
 
@@ -98,5 +100,36 @@ class EdgeLayoutSpec extends SparkSpec {
     val sparse = new VertexMap[Int](ids, i => i, i => i != 1)
     assert(sparse == Map(2L -> 0, 9L -> 2) && !sparse.contains(5L) && sparse.size == 2)
     assert(m.updated(4L, 0.0).size == 4 && m.removed(2L) == Map(5L -> 1.5, 9L -> 2.5))
+  }
+
+  private def bits(d: Double): Long = java.lang.Double.doubleToRawLongBits(d)
+
+  /** `values` packed, checked to read back bit for bit. */
+  private def roundTrip(values: Array[Double]): Int = {
+    val p = VertexMap.pack(values)
+    values.indices.foreach(i => assert(bits(p.read(i)) == bits(values(i)), s"index $i of ${values.length}"))
+    val ids = Array.tabulate(values.length)(i => 3L * i - 7)
+    val m = VertexMap.dense(ids, values)
+    assert(m.size == values.length && ids.indices.forall(i => bits(m(ids(i))) == bits(values(i))))
+    p.bytesPerValue
+  }
+
+  test("VertexMap.dense round-trips every bit pattern") {
+    val rnd = new scala.util.Random(7)
+    val oddNaN = java.lang.Double.longBitsToDouble(0x7ff8000000000abcL)
+    val special = Array(Double.PositiveInfinity, Double.NegativeInfinity, Double.NaN, oddNaN,
+      -0.0, 0.0, Double.MinPositiveValue, Double.MaxValue, -1.0)
+    // Few distinct values: one-byte codes, the specials included.
+    assert(roundTrip(Array.fill(5000)(special(rnd.nextInt(special.length)))) == 1)
+    assert(roundTrip(Array.tabulate(3000)(i => if (i % 300 == 0) special(i / 300 % 9) else (i % 240 - 20).toDouble))
+      == 1)
+    // Many distinct values, still few per vertex: two-byte codes.
+    assert(roundTrip(Array.tabulate(20000)(i => if (i % 997 == 0) -0.0 else (i % 4000) * 0.1)) == 2)
+    // Mostly distinct values: the Doubles themselves.
+    assert(roundTrip(Array.fill(20000)(rnd.nextDouble()) ++ special) == 8)
+    assert(roundTrip(Array.tabulate(70000)(i => (i % 65537).toDouble)) == 8)
+    // Tiny arrays, where no code pays for its table.
+    assert(roundTrip(Array.empty[Double]) == 8 && roundTrip(Array(Double.NaN)) == 8)
+    assert(roundTrip(Array(-0.0, -0.0, 1.0, 1.0)) == 1)
   }
 }
