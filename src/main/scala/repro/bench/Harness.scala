@@ -2,15 +2,13 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.apps.Apps
-import repro.baseline.GasEngine
 import repro.core._
 import repro.graph.{GraphGen, PropertyGraph}
 import repro.partition.{Chunking, Replication}
 import repro.sched.WorkStealing
 
-/** Shared runners and printers for the evaluation tables. Each table's bench
-  * suite (bench/src/test) and spark-submit job (jobs/) delegates here, so
-  * `sbt "bench/test"` and `spark-submit` print identical rows.
+/** Shared runners and printers for the evaluation tables; each table's bench
+  * suite (bench/src/test) delegates here.
   */
 object Harness {
 
@@ -52,33 +50,27 @@ object Harness {
     Prepared(spec, g, sym, root, rrgDir, rrgSym)
   }
 
+  /** The schedule of `system` (PowerG, PowerL, Gemini or SLFE), SLFE guided by `rrg`. */
+  private def schedule(system: String, rrg: RRGuidance): Schedule = system match {
+    case "PowerG" => Schedule.PowerG
+    case "PowerL" => Schedule.PowerL
+    case "Gemini" => Schedule.Gemini
+    case "SLFE"   => Schedule.Slfe(rrg)
+  }
+
   /** Run one (system, app) on a prepared dataset. */
   def run(p: Prepared, system: String, app: String): RunResult = {
     val root = p.root
-    def prog = app match {
+    val prog = app match {
       case "SSSP" => Apps.sssp(root, unitWeight = true) // evaluation graphs are unweighted
       case "CC"   => Apps.cc
       case "WP"   => Apps.wp(root)
       case "PR"   => Apps.pagerank(eps = ArithEps)
       case "TR"   => Apps.tunkrank(eps = ArithEps)
     }
-    val graph = if (app == "CC") p.sym else p.g
-    val rrg = if (app == "CC") p.rrgSym else p.rrgDir
-    val arith = app == "PR" || app == "TR"
-    system match {
-      case "PowerG" =>
-        if (arith) GasEngine.runArith(graph, prog, dense = true, iters = ArithIters, earlyStop = true)
-        else GasEngine.runMinMax(graph, prog, dense = true)
-      case "PowerL" =>
-        if (arith) GasEngine.runArith(graph, prog, dense = false, iters = ArithIters, earlyStop = true)
-        else GasEngine.runMinMax(graph, prog, dense = false)
-      case "Gemini" =>
-        if (arith) SlfeEngine.edgeProcArith(graph, prog, None, "Gemini", iters = ArithIters, earlyStop = true)
-        else SlfeEngine.edgeProcMinMax(graph, prog, None, "Gemini")
-      case "SLFE" =>
-        if (arith) SlfeEngine.edgeProcArith(graph, prog, Some(rrg), "SLFE", iters = ArithIters, earlyStop = true)
-        else SlfeEngine.edgeProcMinMax(graph, prog, Some(rrg), "SLFE")
-    }
+    val (graph, rrg) = if (app == "CC") (p.sym, p.rrgSym) else (p.g, p.rrgDir)
+    if (prog.arith) Engine.run(graph, prog, schedule(system, rrg), ArithIters, earlyStop = true)
+    else Engine.run(graph, prog, schedule(system, rrg))
   }
 
   def cell(p: Prepared, system: String, app: String): Cell = {
@@ -112,13 +104,7 @@ object Harness {
     val prepared = specs.map(prepare(spark, _))
     for (system <- Seq("PowerG", "PowerL", "Gemini", "SLFE")) {
       val row = prepared.map { p =>
-        val prog = Apps.sssp(p.root) // weighted
-        val r = system match {
-          case "PowerG" => GasEngine.runMinMax(p.g, prog, dense = true)
-          case "PowerL" => GasEngine.runMinMax(p.g, prog, dense = false)
-          case "Gemini" => SlfeEngine.edgeProcMinMax(p.g, prog, None, "Gemini")
-          case "SLFE"   => SlfeEngine.edgeProcMinMax(p.g, prog, Some(p.rrgDir), "SLFE")
-        }
+        val r = Engine.run(p.g, Apps.sssp(p.root), schedule(system, p.rrgDir)) // weighted
         f"${r.computationsPerVertex(p.g.numVertices)}%7.2f"
       }
       out(f"$system%-10s " + row.mkString(" "))
@@ -206,7 +192,7 @@ object Harness {
       val rfL = Replication.hybridCut(p.g, 8, threshold = 4 * p.g.numEdges / math.max(p.g.numVertices, 1))
       out(f"${spec.name}%-6s staticImb=${static.imbalance}%5.2f stealImb=${steal.imbalance}%5.2f " +
         f"steals=${steal.steals}%4d chunkImb=${Chunking.imbalance(chunks)}%5.2f " +
-        f"rf(PowerG)=${rfG}%5.2f rf(PowerL)=${rfL}%5.2f rf(chunking)=${Replication.chunkingFactor}%4.2f")
+        f"rf(PowerG)=${rfG}%5.2f rf(PowerL)=${rfL}%5.2f")
       p.g.unpersist(); p.sym.unpersist()
     }
   }

@@ -4,7 +4,10 @@ import java.util.BitSet
 import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Executors}
 import repro.graph.{EdgeBlock, EdgeLayout, PropertyGraph, VertexMap}
 
-/** One vertex's mutable state during an engine run. */
+/** One vertex's initial state for a program, by id, as [[EdgeOps.initState]]
+  * lists it for callers that probe the edge layer vertex by vertex. The
+  * engine keeps dense arrays instead ([[Engine]]).
+  */
 final case class VState(
     id: Long,
     value: Double,
@@ -130,8 +133,8 @@ private[repro] object EdgeOps {
     new VertexMap(l.ids, i => (m.agg(i), m.count(i).toLong), m.received)
   }
 
-  /** Initial engine state for a program over a graph, with RRG attached
-    * (lastIter = 0 everywhere when no guidance is used).
+  /** Every vertex's initial state for a program over a graph, with RRG
+    * attached (lastIter = 0 everywhere when no guidance is used).
     */
   def initState(g: PropertyGraph, prog: VertexProgram, rrg: Option[RRGuidance]): Array[VState] = {
     val l = g.layout

@@ -1,29 +1,49 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.graph.PropertyGraph
+import repro.graph.{EdgeLayout, PropertyGraph, VertexMap}
 
 /** Redundancy-Reduction Guidance — the paper's preprocessing product.
   *
   * `level(v)` is the BFS level at which v is first reached from the roots
   * (Alg. 1's `visited`/`dist`), and `lastIter(v)` the last propagation level
   * at which v receives an update from a just-activated in-neighbor, i.e.
-  * `1 + max(level(u))` over reachable in-neighbors u.
+  * `1 + max(level(u))` over reachable in-neighbors u. Both are dense arrays
+  * over the index of the graph the guidance was generated on; `level` and
+  * `lastIter` are `Map` views that keep only the vertices reached and
+  * touched.
   *
-  * Vertices never reached keep no entry; [[lastIterOf]] maps them to
-  * `maxLevel + 1`, a conservative bound: min/max apps merely start them
+  * Vertices never touched keep no `lastIter` entry; [[lastIterOf]] maps them
+  * to `maxLevel + 1`, a conservative bound: min/max apps merely start them
   * late (the final verification push fixes any remainder) and arithmetic
   * apps practically never freeze them, so correctness is preserved.
   */
-final case class RRGuidance(
-    level: Map[Long, Int],
-    lastIter: Map[Long, Int],
-    maxLevel: Int,
-    edgeComputations: Long,
-    wallMillis: Long,
+final class RRGuidance private (
+    graph: String,
+    ids: Array[Long],
+    numEdges: Long,
+    levels: Array[Int],
+    lastIters: Array[Int],
+    val maxLevel: Int,
+    val edgeComputations: Long,
+    val wallMillis: Long,
 ) {
+  val level: Map[Long, Int] = new VertexMap(ids, levels(_), levels(_) >= 0)
+  val lastIter: Map[Long, Int] = new VertexMap(ids, lastIters(_), lastIters(_) > 0)
+
   def lastIterOf(v: Long): Int = lastIter.getOrElse(v, maxLevel + 1)
   def levelOf(v: Long): Int = level.getOrElse(v, -1)
+
+  /** [[lastIterOf]] of every vertex of `l`, by dense index. Fails unless `l`
+    * is the layout of the graph the guidance was generated on (same vertex
+    * ids and edge count), since an index of another graph would misread it.
+    */
+  private[core] def lastIterOver(l: EdgeLayout, name: String): Array[Int] = {
+    require(l.numEdges == numEdges && java.util.Arrays.equals(l.ids, ids),
+      s"the guidance was generated on $graph (${ids.length} vertices, $numEdges edges) and cannot " +
+        s"guide a run on $name (${l.numVertices} vertices, ${l.numEdges} edges)")
+    lastIters.map(li => if (li > 0) li else maxLevel + 1)
+  }
 
   /** DataFrame view (id, level, lastIter) for oracle-style checks. */
   def toDF(g: PropertyGraph): DataFrame = {
@@ -78,11 +98,8 @@ object RRGuidance {
       frontier = newly.result()
       iter += 1
     }
-    def byId(a: Array[Int], keep: Int => Boolean): Map[Long, Int] =
-      a.indices.iterator.filter(i => keep(a(i))).map(i => l.ids(i) -> a(i)).toMap
-    val levels = byId(level, _ >= 0)
-    val maxLevel = if (levels.isEmpty) 0 else levels.valuesIterator.max
-    RRGuidance(levels, byId(last, _ > 0), maxLevel, comps, (System.nanoTime() - t0) / 1000000L)
+    new RRGuidance(g.name, l.ids, l.numEdges, level, last, level.foldLeft(0)(math.max), comps,
+      (System.nanoTime() - t0) / 1000000L)
   }
 
   /** Frontier expansion as a vertex program: only its edge counts are read. */

@@ -45,13 +45,4 @@ object Chunking {
     val mean = loads.sum / loads.size
     if (mean == 0) 1.0 else loads.max / mean
   }
-
-  /** Imbalance of an arbitrary per-part cost vector (e.g. measured
-    * per-node computation counts after RR).
-    */
-  def imbalanceOf(loads: Seq[Double]): Double = {
-    if (loads.isEmpty) return 1.0
-    val mean = loads.sum / loads.size
-    if (mean == 0) 1.0 else loads.max / mean
-  }
 }

@@ -42,10 +42,4 @@ object Replication {
           .otherwise(pmod(hash(col("src"), lit(seed)), lit(k))))
     replicationFactor(g, placed)
   }
-
-  /** Chunking (Gemini/SLFE) assigns each vertex to exactly one owner range;
-    * mirrors exist only for boundary traffic, so its factor is ~1. Included
-    * for the comparison table.
-    */
-  def chunkingFactor: Double = 1.0
 }

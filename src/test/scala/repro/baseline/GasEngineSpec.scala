@@ -33,7 +33,7 @@ class GasEngineSpec extends SparkSpec {
 
   test("dense and signaled GAS agree with the SLFE engine on CC") {
     val g = PropertyGraph(GraphGen.uniform(spark, 25, 45, 113)).symmetrize.cached()
-    val slfe = SlfeEngine.edgeProcMinMax(g, Apps.cc, None, "Gemini")
+    val slfe = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
     val dense = GasEngine.runMinMax(g, Apps.cc, dense = true)
     val signaled = GasEngine.runMinMax(g, Apps.cc, dense = false)
     assert(dense.values == slfe.values)
@@ -83,8 +83,8 @@ class GasEngineSpec extends SparkSpec {
     val rrg = RRGuidance.generate(g, Set(root))
     val powerG = GasEngine.runMinMax(g, Apps.sssp(root), dense = true)
     val powerL = GasEngine.runMinMax(g, Apps.sssp(root), dense = false)
-    val gemini = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None, "Gemini")
-    val slfe = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg), "SLFE")
+    val gemini = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None)
+    val slfe = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg))
     assert(powerG.totalComputations >= powerL.totalComputations,
       s"G=${powerG.totalComputations} L=${powerL.totalComputations}")
     assert(slfe.totalComputations <= gemini.totalComputations,
@@ -120,7 +120,7 @@ class GasEngineSpec extends SparkSpec {
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
     val powerL = GasEngine.runMinMax(g, Apps.sssp(root), dense = false)
-    val slfe = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg), "SLFE")
+    val slfe = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg))
     assert(powerL.totalUpdates >= slfe.totalUpdates)
     g.unpersist()
   }

@@ -13,7 +13,7 @@ class EngineEdgeCasesSpec extends SparkSpec {
   test("SSSP with unit weights equals BFS hop distance") {
     val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 201)).cached()
     val root = g.maxOutDegVertex
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), None, "Gemini")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), None)
     val (level, _) = Reference.bfsGuidance(collectEdges(g), Set(root))
     level.foreach { case (v, l) => assert(r.values(v) == l.toDouble, s"vertex $v") }
     r.values.filter(_._2 < 1e17).keys.foreach(v => assert(level.contains(v) || v == root))
@@ -24,8 +24,8 @@ class EngineEdgeCasesSpec extends SparkSpec {
     val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 202)).cached()
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
-    val noRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), None, "Gemini")
-    val withRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), Some(rrg), "SLFE")
+    val noRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), None)
+    val withRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), Some(rrg))
     assert(noRR.values == withRR.values)
     g.unpersist()
   }
@@ -33,20 +33,20 @@ class EngineEdgeCasesSpec extends SparkSpec {
   test("single-edge graph converges in both engines") {
     val g = TestUtil.graph(spark, Seq((7L, 8L, 4.0)))
     val rrg = RRGuidance.generate(g, Set(7L))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(7L), Some(rrg), "SLFE")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(7L), Some(rrg))
     assert(r.values == Map(7L -> 0.0, 8L -> 4.0))
   }
 
   test("self-contained two-cycle: CC labels collapse to the minimum") {
     val g = TestUtil.graph(spark, Seq((5L, 6L, 1.0), (6L, 5L, 1.0)))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.cc, None, "Gemini")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
     assert(r.values == Map(5L -> 5.0, 6L -> 5.0))
   }
 
   test("WP with RR on the Fig. 1 graph matches the reference") {
     val g = figure1(spark)
     val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.wp(0L), Some(rrg), "SLFE")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.wp(0L), Some(rrg))
     val expected = Reference.widestPath(collectEdges(g), 0L)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
@@ -54,20 +54,20 @@ class EngineEdgeCasesSpec extends SparkSpec {
   test("unreachable root side: vertices beyond the root stay at init") {
     val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (2L, 3L, 1.0)))
     val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), Some(rrg), "SLFE")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), Some(rrg))
     assert(r.values(1L) == 1.0 && r.values(3L) == Apps.Inf)
   }
 
   test("arith engine with zero iterations returns the initial state") {
     val g = figure1(spark)
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, "Gemini", iters = 0)
+    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 0)
     assert(r.iterations == 0 && r.values.values.forall(_ == 1.0))
   }
 
   test("RR arith run freezes vertices permanently once EC") {
     val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (2L, 0L, 1.0)))
     val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), "SLFE", iters = 60)
+    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = 60)
     // 3-cycle PR fixpoint is 1.0 for every vertex; EC freezing must not move it.
     r.values.values.foreach(v => assert(math.abs(v - 1.0) < 1e-6))
     // Later iterations compute no more vertices than earlier ones.
@@ -75,9 +75,18 @@ class EngineEdgeCasesSpec extends SparkSpec {
     assert(computed.last <= computed.head)
   }
 
+  test("a guidance generated on another graph is rejected") {
+    val g = figure1(spark)
+    val rrg = RRGuidance.generate(g, Set(0L))
+    val sym = g.symmetrize
+    val e = intercept[IllegalArgumentException](SlfeEngine.edgeProcMinMax(sym, Apps.cc, Some(rrg)))
+    assert(e.getMessage.contains("generated on fig1") && e.getMessage.contains("fig1-sym"))
+    intercept[IllegalArgumentException](SlfeEngine.edgeProcArith(sym, Apps.pagerank(), Some(rrg)))
+  }
+
   test("metrics: wall time and per-iteration millis are populated") {
     val g = figure1(spark)
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None, "Gemini")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None)
     assert(r.wallMillis >= r.stats.map(_.millis).sum / 2) // sanity, not exact
     assert(r.stats.forall(_.millis >= 0))
   }

@@ -17,7 +17,7 @@ class SlfeEngineArithSpec extends SparkSpec {
     val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 91)).cached()
     val iters = 10
     val expected = Reference.pagerank(collectEdges(g), iters)
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, "Gemini", iters = iters)
+    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
     g.unpersist()
   }
@@ -27,7 +27,7 @@ class SlfeEngineArithSpec extends SparkSpec {
     val iters = 40
     val expected = Reference.pagerank(collectEdges(g), iters)
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), "SLFE", iters = iters)
+    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = iters)
     // EC vertices freeze once stable for lastIter rounds; by convergence the
     // frozen values agree with the exact fixpoint to ~eps precision.
     assert(maxAbsDiff(r.values, expected) < 1e-4)
@@ -37,7 +37,7 @@ class SlfeEngineArithSpec extends SparkSpec {
   test("PR matches the DuckDB iterated-CTE oracle (3 iterations, rounded)") {
     val g = PropertyGraph(GraphGen.uniform(spark, 15, 40, 93)).cached()
     val iters = 3
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, "Gemini", iters = iters)
+    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
     val got = valuesDF(spark, r.values, "v").select(col("id"), round(col("v"), 4) as "rank")
     Oracle.assertEquivalent(got, prSql(iters), "edges" -> g.edges, "verts" -> g.vertices)
     g.unpersist()
@@ -45,7 +45,7 @@ class SlfeEngineArithSpec extends SparkSpec {
 
   test("PR of a 2-cycle converges to the analytic fixpoint 1.0") {
     val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 0L, 1.0)))
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, "Gemini", iters = 50)
+    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 50)
     assert(math.abs(r.values(0L) - 1.0) < 1e-9 && math.abs(r.values(1L) - 1.0) < 1e-9)
   }
 
@@ -54,7 +54,7 @@ class SlfeEngineArithSpec extends SparkSpec {
     // clamps their ruler to 1 so their first apply (rank -> 0.15) happens.
     val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0)))
     val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), "SLFE", iters = 20)
+    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = 20)
     assert(math.abs(r.values(0L) - 0.15) < 1e-12)
   }
 
@@ -62,7 +62,7 @@ class SlfeEngineArithSpec extends SparkSpec {
     val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 94)).cached()
     val iters = 10
     val expected = Reference.tunkrank(collectEdges(g), iters)
-    val r = SlfeEngine.edgeProcArith(g, Apps.tunkrank(), None, "Gemini", iters = iters)
+    val r = SlfeEngine.edgeProcArith(g, Apps.tunkrank(), None, iters = iters)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
     g.unpersist()
   }
@@ -72,7 +72,7 @@ class SlfeEngineArithSpec extends SparkSpec {
     val iters = 40
     val expected = Reference.tunkrank(collectEdges(g), iters)
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
-    val r = SlfeEngine.edgeProcArith(g, Apps.tunkrank(), Some(rrg), "SLFE", iters = iters)
+    val r = SlfeEngine.edgeProcArith(g, Apps.tunkrank(), Some(rrg), iters = iters)
     assert(maxAbsDiff(r.values, expected) < 1e-4)
     g.unpersist()
   }
@@ -81,8 +81,8 @@ class SlfeEngineArithSpec extends SparkSpec {
     val g = PropertyGraph(GraphGen.rmat(spark, 7, 400, 96)).cached()
     val iters = 30
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
-    val noRR = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, "Gemini", iters = iters)
-    val withRR = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), "SLFE", iters = iters)
+    val noRR = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
+    val withRR = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = iters)
     assert(withRR.totalComputations < noRR.totalComputations,
       s"RR=${withRR.totalComputations} noRR=${noRR.totalComputations}")
     // Later iterations compute strictly fewer vertices than the first.
@@ -92,14 +92,14 @@ class SlfeEngineArithSpec extends SparkSpec {
 
   test("without RR every iteration computes every vertex (the paper's redundancy)") {
     val g = PropertyGraph(GraphGen.uniform(spark, 25, 60, 97)).cached()
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, "Gemini", iters = 5)
+    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 5)
     assert(r.stats.forall(_.computedVertices == g.numVertices))
     g.unpersist()
   }
 
   test("earlyStop halts once no computed vertex changes") {
     val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0)))
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, "Gemini", iters = 100, earlyStop = true)
+    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 100, earlyStop = true)
     assert(r.iterations < 100)
     // Fixpoint: 0 -> 0.15, 1 -> 0.15 + 0.85*0.15.
     assert(math.abs(r.values(1L) - (0.15 + 0.85 * 0.15)) < 1e-9)
@@ -107,7 +107,7 @@ class SlfeEngineArithSpec extends SparkSpec {
 
   test("per-iteration stats are internally consistent") {
     val g = PropertyGraph(GraphGen.uniform(spark, 20, 50, 98)).cached()
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, "Gemini", iters = 4)
+    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 4)
     r.stats.foreach { s =>
       assert(s.updates <= s.computedVertices)
       assert(s.edgeComputations <= g.numEdges)

@@ -15,14 +15,14 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   private def ssspBoth(g: PropertyGraph, root: Long): (RunResult, RunResult) = {
     val rrg = RRGuidance.generate(g, Set(root))
-    val noRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None, "Gemini")
-    val withRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg), "SLFE")
+    val noRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None)
+    val withRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg))
     (noRR, withRR)
   }
 
   test("SSSP without RR reproduces the paper's Fig. 1 final distances") {
     val g = figure1(spark)
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None, "Gemini")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None)
     assert(r.values == Map(0L -> 0.0, 1L -> 1.0, 2L -> 2.0, 3L -> 2.0, 4L -> 3.0, 5L -> 4.0))
   }
 
@@ -47,7 +47,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   test("SSSP final distances match the DuckDB recursive oracle") {
     val g = PropertyGraph(GraphGen.uniform(spark, 25, 70, 31)).cached()
     val root = g.maxOutDegVertex
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None, "Gemini")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None)
     val reachable = r.values.filter(_._2 < 1e17)
     Oracle.assertEquivalent(
       valuesDF(spark, reachable, "dist"),
@@ -60,7 +60,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
     val g = PropertyGraph(GraphGen.uniform(spark, 25, 70, 32)).cached()
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg), "SLFE")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg))
     Oracle.assertEquivalent(
       valuesDF(spark, r.values.filter(_._2 < 1e17), "dist"),
       ssspSql(root, bound = 25.0 * 10 + 1),
@@ -74,8 +74,8 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
       val g = base.symmetrize.cached()
       val expected = Reference.components(collectEdges(base)).map { case (k, v) => k -> v.toDouble }
       val rrg = RRGuidance.generate(g, Set(g.vertexIds.min))
-      val noRR = SlfeEngine.edgeProcMinMax(g, Apps.cc, None, "Gemini")
-      val withRR = SlfeEngine.edgeProcMinMax(g, Apps.cc, Some(rrg), "SLFE")
+      val noRR = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
+      val withRR = SlfeEngine.edgeProcMinMax(g, Apps.cc, Some(rrg))
       assert(maxAbsDiff(noRR.values, expected) == 0.0, s"seed=$seed noRR")
       assert(maxAbsDiff(withRR.values, expected) == 0.0, s"seed=$seed withRR")
       g.unpersist()
@@ -86,7 +86,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
     val g = TestUtil.graph(spark,
       Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (5L, 6L, 1.0), (7L, 5L, 1.0), (9L, 9L + 1, 1.0)))
       .symmetrize
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.cc, None, "Gemini")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
     import org.apache.spark.sql.functions.col
     val labels = valuesDF(spark, r.values, "v").select(col("id"), col("v").cast("long") as "label")
     Oracle.assertEquivalent(labels, ccSql, "edges" -> g.edges, "verts" -> g.vertices)
@@ -98,8 +98,8 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
       val root = g.maxOutDegVertex
       val expected = Reference.widestPath(collectEdges(g), root)
       val rrg = RRGuidance.generate(g, Set(root))
-      val noRR = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), None, "Gemini")
-      val withRR = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), Some(rrg), "SLFE")
+      val noRR = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), None)
+      val withRR = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), Some(rrg))
       assert(maxAbsDiff(noRR.values, expected) < 1e-9, s"seed=$seed noRR")
       assert(maxAbsDiff(withRR.values, expected) < 1e-9, s"seed=$seed withRR")
       g.unpersist()
@@ -109,7 +109,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   test("WP matches the DuckDB max-min closure oracle") {
     val g = PropertyGraph(GraphGen.uniform(spark, 20, 50, 61)).cached()
     val root = g.maxOutDegVertex
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), None, "Gemini")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), None)
     Oracle.assertEquivalent(
       valuesDF(spark, r.values.filter(_._2 > 0.0), "width"),
       wpSql(root),
@@ -128,21 +128,23 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("SSSP starts in push mode from a single active root") {
-    val g = figure1(spark)
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None, "Gemini", denseFrac = 0.5)
+    // A 25-edge chain: the root's one out-edge is 4% of |E|, below the switch.
+    val g = TestUtil.graph(spark, (0L until 25L).map(i => (i, i + 1, 1.0)))
+    assert(g.outDeg(0L) <= Engine.DenseFraction * g.numEdges)
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None)
     assert(r.stats.head.mode == "push")
   }
 
   test("CC starts in pull mode with all vertices active") {
     val g = figure1(spark).symmetrize
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.cc, None, "Gemini")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
     assert(r.stats.head.mode == "pull")
   }
 
   test("RR run ends with a clean all-active push verification pass") {
     val g = figure1(spark)
     val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), Some(rrg), "SLFE")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), Some(rrg))
     val lastStat = r.stats.last
     assert(lastStat.mode == "push" && lastStat.updates == 0)
   }
@@ -154,7 +156,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
     val chain = (0 until 8).map(i => (100L + i, 101L + i, 1.0))
     val g = TestUtil.graph(spark, Seq((0L, 100L, 1.0), (0L, 1L, 1.0)) ++ chain)
     val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), Some(rrg), "SLFE")
+    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), Some(rrg))
     assert(r.values(108L) == 9.0)
   }
 
@@ -182,7 +184,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   test("engine fails loudly when maxIters is too small") {
     val g = figure1(spark)
     intercept[IllegalArgumentException] {
-      SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None, "Gemini", maxIters = 1)
+      SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None, maxIters = 1)
     }
   }
 }

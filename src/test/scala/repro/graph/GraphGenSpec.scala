@@ -93,9 +93,4 @@ class GraphGenSpec extends SparkSpec {
       assert(s.paperVertices > 0 && (1L << s.scale) >= s.paperVertices / s.divisor / 2)
     }
   }
-
-  test("SynthData delegates expose graph generators") {
-    assert(repro.SynthData.rmatEdges(spark, 6, 50).count() > 0)
-    assert(repro.SynthData.uniformEdges(spark, 20, 40).count() > 0)
-  }
 }

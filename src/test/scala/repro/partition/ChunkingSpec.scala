@@ -59,12 +59,6 @@ class ChunkingSpec extends AnyFunSuite {
     }, minSuccessful = 50)
   }
 
-  test("imbalanceOf computes max over mean") {
-    assert(Chunking.imbalanceOf(Seq(2.0, 2.0, 2.0)) == 1.0)
-    assert(Chunking.imbalanceOf(Seq(4.0, 0.0)) == 2.0)
-    assert(Chunking.imbalanceOf(Nil) == 1.0)
-  }
-
   test("imbalance near 1 for edge-balanced partition of a skewed graph") {
     val deg: Long => Long = v => if (v % 17 == 0) 40L else 1L
     val chunks = Chunking.partition((0L until 500L).toSeq, deg, parts = 8)

@@ -54,8 +54,4 @@ class ReplicationSpec extends SparkSpec {
     val rf = Replication.hybridCut(g, 4, threshold = Long.MaxValue)
     assert(rf >= 1.0 && rf <= 4.0)
   }
-
-  test("chunking factor constant is 1") {
-    assert(Replication.chunkingFactor == 1.0)
-  }
 }
