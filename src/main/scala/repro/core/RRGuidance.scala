@@ -90,15 +90,21 @@ object RRGuidance {
       // level, the vertices they reach are the touched ones.
       val touched = EdgeOps.push(g, Expand, zeros, frontier)
       comps += touched.edges
-      val newly = Array.newBuilder[Int]
-      for (i <- 0 until n if touched.received(i)) {
-        last(i) = iter // iter only grows
-        if (level(i) < 0) { level(i) = iter; newly += i }
+      val newly = new Array[Int](n)
+      var k = 0
+      var i = 0
+      while (i < n) {
+        if (touched.received(i)) {
+          last(i) = iter // iter only grows
+          if (level(i) < 0) { level(i) = iter; newly(k) = i; k += 1 }
+        }
+        i += 1
       }
-      frontier = newly.result()
+      frontier = java.util.Arrays.copyOf(newly, k)
       iter += 1
     }
-    new RRGuidance(g.name, l.ids, l.numEdges, level, last, level.foldLeft(0)(math.max), comps,
+    // Level iter - 1 reached no vertex, so the deepest level is iter - 2.
+    new RRGuidance(g.name, l.ids, l.numEdges, level, last, math.max(iter - 2, 0), comps,
       (System.nanoTime() - t0) / 1000000L)
   }
 

@@ -1,6 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.DataFrame
 import repro.partition.Chunking
 
 /** The in-edges of one destination chunk, the dense vertex range
@@ -59,6 +58,25 @@ final class EdgeLayout private (
 
   /** Out-neighbours of vertex index `i`, as vertex ids. */
   def outNbrIds(i: Int): Array[Long] = adjDst.slice(adjOff(i), adjOff(i + 1)).map(ids)
+
+  /** The edges laid out here, by vertex id, in (dst, src) order. */
+  def edgeList: EdgeList = {
+    val m = adjDst.length
+    val (src, dst, weight) = (new Array[Long](m), new Array[Long](m), new Array[Double](m))
+    var e = 0
+    for (b <- blocks) {
+      var d = b.lo
+      while (d < b.hi) {
+        var p = b.inOff(d - b.lo)
+        while (p < b.inOff(d - b.lo + 1)) {
+          src(e) = ids(b.inSrc(p)); dst(e) = ids(d); weight(e) = b.inW(p)
+          e += 1; p += 1
+        }
+        d += 1
+      }
+    }
+    new EdgeList(src, dst, weight)
+  }
 }
 
 object EdgeLayout {
@@ -69,77 +87,64 @@ object EdgeLayout {
     */
   val IdLimit: Long = 1L << 53
 
-  /** Build the layout with one collect of `edges` (`src, dst, weight`).
-    * The chunk count is `edges`' partition count.
-    */
-  def build(edges: DataFrame, name: String): EdgeLayout = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    val parts = edges.select($"src", $"dst", $"weight").as[(Long, Long, Double)].rdd
-      .mapPartitions { it =>
-        val s = Array.newBuilder[Long]; val d = Array.newBuilder[Long]; val w = Array.newBuilder[Double]
-        it.foreach { case (a, b, c) => s += a; d += b; w += c }
-        Iterator((s.result(), d.result(), w.result()))
-      }
-      .collect()
-    val srcIds = parts.flatMap(_._1)
-    val dstIds = parts.flatMap(_._2)
-    val weight = parts.flatMap(_._3)
-    val ids = distinctSorted(srcIds ++ dstIds)
+  /** Lay `edges` out in `chunks` destination chunks. */
+  def build(edges: EdgeList, chunks: Int, name: String): EdgeLayout = {
+    require(chunks > 0, s"graph $name: $chunks chunks")
+    import EdgeList.{countingSort, gather}
+    val (ids, src, dst) = EdgeList.index(edges.src, edges.dst)
     if (ids.nonEmpty) require(ids.head > -IdLimit && ids.last < IdLimit,
       s"graph $name has vertex id ${if (ids.last >= IdLimit) ids.last else ids.head} outside " +
         s"(-2^53, 2^53): vertex values are Doubles, and CC carries vertex ids as labels")
     val n = ids.length
-    val src = srcIds.map(java.util.Arrays.binarySearch(ids, _))
-    val dst = dstIds.map(java.util.Arrays.binarySearch(ids, _))
+    val m = edges.size
     val outDeg = new Array[Int](n)
     val inDeg = new Array[Int](n)
-    src.foreach(s => outDeg(s) += 1)
-    dst.foreach(d => inDeg(d) += 1)
+    var e = 0
+    while (e < m) { outDeg(src(e)) += 1; inDeg(dst(e)) += 1; e += 1 }
 
     // Both edge orders by two stable counting sorts: (src, dst) and (dst, src).
-    val all = Array.range(0, src.length)
+    val all = Array.range(0, m)
     val bySrc = countingSort(countingSort(all, dst, n), src, n)
     val byDst = countingSort(countingSort(all, src, n), dst, n)
     val adjOff = offsets(outDeg)
     val inOff = offsets(inDeg)
+    val chunkStarts = Chunking.cut(n, inDeg(_), chunks)
 
-    val k = parts.length.max(1)
-    val chunks = Chunking.partition(ids.toIndexedSeq,
-      id => inDeg(java.util.Arrays.binarySearch(ids, id)).toLong, k)
-    val chunkStarts = chunks.scanLeft(0)(_ + _.vertices.size).toArray
-    val blocks = Array.tabulate(k) { c =>
-      val (lo, hi) = (chunkStarts(c), chunkStarts(c + 1))
-      // Chunks are destination ranges, so both orders restrict to them intact.
-      val in = byDst.slice(inOff(lo), inOff(hi))
-      val out = bySrc.filter(e => dst(e) >= lo && dst(e) < hi)
-      val outCount = new Array[Int](n)
-      out.foreach(e => outCount(src(e)) += 1)
-      new EdgeBlock(lo, hi, inOff.slice(lo, hi + 1).map(_ - inOff(lo)), in.map(src), in.map(weight),
-        offsets(outCount), out.map(dst), out.map(weight), outDeg)
+    // Chunks are destination ranges, so `byDst` restricts to each intact, and
+    // one pass deals `bySrc` out to them in (src, dst) order: chunk c's
+    // edges fill positions inOff(lo) until inOff(hi) of `out`, as in `byDst`,
+    // and outCount(c) counts them per source.
+    val chunkOf = new Array[Int](n)
+    for (c <- 0 until chunks) java.util.Arrays.fill(chunkOf, chunkStarts(c), chunkStarts(c + 1), c)
+    val next = Array.tabulate(chunks)(c => inOff(chunkStarts(c)))
+    val outCount = Array.fill(chunks)(new Array[Int](n + 1))
+    val out = new Array[Int](m)
+    var k = 0
+    while (k < m) {
+      val e = bySrc(k)
+      val c = chunkOf(dst(e))
+      out(next(c)) = e
+      next(c) += 1
+      outCount(c)(src(e) + 1) += 1
+      k += 1
     }
-    new EdgeLayout(ids, outDeg, inDeg, adjOff, bySrc.map(dst), chunkStarts, blocks)
-  }
-
-  private def distinctSorted(xs: Array[Long]): Array[Long] = {
-    if (xs.isEmpty) return xs
-    java.util.Arrays.sort(xs)
-    val b = Array.newBuilder[Long]
-    b += xs(0)
-    for (i <- 1 until xs.length if xs(i) != xs(i - 1)) b += xs(i)
-    b.result()
-  }
-
-  /** `order` stably sorted by `key(e)`, keys in `0 until n`. */
-  private def countingSort(order: Array[Int], key: Array[Int], n: Int): Array[Int] = {
-    val next = new Array[Int](n + 1)
-    order.foreach(e => next(key(e) + 1) += 1)
-    for (i <- 0 until n) next(i + 1) += next(i)
-    val out = new Array[Int](order.length)
-    order.foreach { e => out(next(key(e))) = e; next(key(e)) += 1 }
-    out
+    val blocks = Array.tabulate(chunks) { c =>
+      val (lo, hi) = (chunkStarts(c), chunkStarts(c + 1))
+      val (from, to) = (inOff(lo), inOff(hi))
+      val inOffLocal = new Array[Int](hi - lo + 1)
+      for (d <- lo to hi) inOffLocal(d - lo) = inOff(d) - from
+      val outOff = outCount(c)
+      for (s <- 0 until n) outOff(s + 1) += outOff(s)
+      new EdgeBlock(lo, hi, inOffLocal, gather(src, byDst, from, to), gather(edges.weight, byDst, from, to),
+        outOff, gather(dst, out, from, to), gather(edges.weight, out, from, to), outDeg)
+    }
+    new EdgeLayout(ids, outDeg, inDeg, adjOff, gather(dst, bySrc, 0, m), chunkStarts, blocks)
   }
 
   /** CSR offsets from per-vertex counts. */
-  private def offsets(counts: Array[Int]): Array[Int] = counts.scanLeft(0)(_ + _)
+  private def offsets(counts: Array[Int]): Array[Int] = {
+    val off = new Array[Int](counts.length + 1)
+    for (i <- counts.indices) off(i + 1) = off(i) + counts(i)
+    off
+  }
 }

@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.hash.Murmur3_x86_32
 
 /** Deterministic synthetic graph generators.
   *
@@ -23,7 +23,12 @@ object GraphGen {
   }
 
   /** Uniform double in [0,1) from a 64-bit state. */
-  private def unit(x: Long): Double = (x >>> 11).toDouble / (1L << 53).toDouble
+  private def unit(x: Long): Double = (x >>> 11).toDouble * TwoToMinus53
+
+  /** 2^-53: scaling by a power of two is exact, so multiplying by it equals
+    * dividing by 2^53, only faster.
+    */
+  private val TwoToMinus53 = 1.0 / (1L << 53).toDouble
 
   /** One RMAT edge for (seed, index) over 2^scale vertices. */
   private[graph] def rmatEdge(scale: Int, seed: Long, index: Long,
@@ -34,13 +39,9 @@ object GraphGen {
     while (lvl < scale) {
       state = mix64(state)
       val r = unit(state)
-      val (sb, db) =
-        if (r < a) (0L, 0L)
-        else if (r < a + b) (0L, 1L)
-        else if (r < a + b + c) (1L, 0L)
-        else (1L, 1L)
-      src = (src << 1) | sb
-      dst = (dst << 1) | db
+      // Quadrants a, b, c, d: (0, 0), (0, 1), (1, 0), (1, 1).
+      src = (src << 1) | (if (r < a + b) 0L else 1L)
+      dst = (dst << 1) | (if (r < a || (r >= a + b && r < a + b + c)) 0L else 1L)
       lvl += 1
     }
     (src, dst)
@@ -50,52 +51,104 @@ object GraphGen {
   private[graph] def edgeWeight(src: Long, dst: Long, maxW: Int): Double =
     1.0 + java.lang.Math.floorMod(mix64(src * 0x9E3779B97F4A7C15L ^ dst), maxW).toDouble
 
-  /** RMAT edge list: `src, dst, weight` over 2^scale vertex ids.
+  /** RMAT edge list over 2^scale vertex ids.
     *
     * Oversamples, drops self-loops and duplicates, then takes a
     * deterministic (hash-ordered) prefix of `nEdges` — so small-scale RMAT
     * (whose hubs generate many duplicate edges) still lands near the target
-    * edge count. Fully deterministic in (scale, nEdges, seed).
+    * edge count. Fully deterministic in (scale, nEdges, seed), and computed
+    * in driver memory without a Spark job.
     */
-  def rmat(spark: SparkSession, scale: Int, nEdges: Long, seed: Long,
-           a: Double = 0.57, b: Double = 0.19, c: Double = 0.19,
-           maxWeight: Int = 10): DataFrame = {
-    import spark.implicits._
-    val oversample = math.max(nEdges * 2, 64L)
-    val edgeUdf = udf { (i: Long) =>
+  def rmatEdges(scale: Int, nEdges: Long, seed: Long, a: Double = 0.57, b: Double = 0.19,
+                c: Double = 0.19, maxWeight: Int = 10): EdgeList = {
+    require(scale >= 0 && scale <= 31, s"RMAT scale $scale outside [0, 31]")
+    sample(math.max(nEdges * 2, 64L), nEdges, maxWeight) { i =>
       val (s, d) = rmatEdge(scale, seed, i, a, b, c)
-      (s, d)
+      s << 32 | d
     }
-    spark.range(oversample)
-      .select(edgeUdf($"id") as "e")
-      .select($"e._1" as "src", $"e._2" as "dst")
-      .filter($"src" =!= $"dst")
-      .distinct()
-      .orderBy(abs(hash($"src", $"dst")), $"src", $"dst")
-      .limit(if (nEdges > Int.MaxValue) Int.MaxValue else nEdges.toInt)
-      .select($"src", $"dst",
-        udf((s: Long, d: Long) => edgeWeight(s, d, maxWeight)).apply($"src", $"dst") as "weight")
   }
 
   /** Uniform random simple digraph — small test graphs with no skew. */
-  def uniform(spark: SparkSession, nVertices: Long, nEdges: Long, seed: Long,
-              maxWeight: Int = 10): DataFrame = {
-    import spark.implicits._
-    val pair = udf { (i: Long) =>
+  def uniformEdges(nVertices: Long, nEdges: Long, seed: Long, maxWeight: Int = 10): EdgeList = {
+    require(nVertices > 0 && nVertices <= Int.MaxValue, s"$nVertices vertices outside [1, 2^31)")
+    sample(math.max(nEdges * 2, 16L), nEdges, maxWeight) { i =>
       val s = java.lang.Math.floorMod(mix64(seed ^ mix64(2 * i)), nVertices)
       val d = java.lang.Math.floorMod(mix64(seed ^ mix64(2 * i + 1)), nVertices)
-      (s, d)
+      s << 32 | d
     }
-    spark.range(math.max(nEdges * 2, 16L))
-      .select(pair($"id") as "e")
-      .select($"e._1" as "src", $"e._2" as "dst")
-      .filter($"src" =!= $"dst")
-      .distinct()
-      .orderBy(abs(hash($"src", $"dst")), $"src", $"dst")
-      .limit(nEdges.toInt)
-      .select($"src", $"dst",
-        udf((s: Long, d: Long) => edgeWeight(s, d, maxWeight)).apply($"src", $"dst") as "weight")
   }
+
+  /** [[rmatEdges]] as a DataFrame `src, dst, weight` (a view of the list). */
+  def rmat(spark: SparkSession, scale: Int, nEdges: Long, seed: Long,
+           a: Double = 0.57, b: Double = 0.19, c: Double = 0.19,
+           maxWeight: Int = 10): DataFrame =
+    rmatEdges(scale, nEdges, seed, a, b, c, maxWeight).toDF(spark)
+
+  /** [[uniformEdges]] as a DataFrame `src, dst, weight` (a view of the list). */
+  def uniform(spark: SparkSession, nVertices: Long, nEdges: Long, seed: Long,
+              maxWeight: Int = 10): DataFrame =
+    uniformEdges(nVertices, nEdges, seed, maxWeight).toDF(spark)
+
+  /** The edges `pair(0 until draws)`, each a (src, dst) pair packed as
+    * `src << 32 | dst` with both ids in [0, 2^31), without self-loops and
+    * duplicates, ordered by (|hash(src, dst)|, src, dst), cut to the first
+    * `nEdges` and weighted by [[edgeWeight]]; they come out in (src, dst)
+    * order. `hash` is Spark SQL's Murmur3 hash of the two columns, so the
+    * edge set is exactly that of the SQL query that drops self-loops and
+    * duplicates, orders by abs(hash(src, dst)), src and dst, and keeps the
+    * first `nEdges` rows (`GraphGenSpec` runs it as the oracle).
+    */
+  private def sample(draws: Long, nEdges: Long, maxWeight: Int)(pair: Long => Long): EdgeList = {
+    require(draws <= Int.MaxValue && nEdges >= 0, s"$draws edge draws for $nEdges edges")
+    val pairs = new Array[Long](draws.toInt)
+    var k = 0
+    var i = 0
+    while (i < pairs.length) {
+      val p = pair(i.toLong)
+      if ((p >>> 32) != (p & 0xFFFFFFFFL)) { pairs(k) = p; k += 1 }
+      i += 1
+    }
+    // Distinct pairs, ascending: rank j is the j-th pair in (src, dst) order.
+    val distinct = EdgeList.distinctSorted(java.util.Arrays.copyOf(pairs, k))
+    val keys = new Array[Long](distinct.length)
+    var j = 0
+    while (j < keys.length) {
+      keys(j) = orderKey(sqlHash(distinct(j) >>> 32, distinct(j) & 0xFFFFFFFFL), j)
+      j += 1
+    }
+    java.util.Arrays.sort(keys)
+    // SQL's `limit` takes an Int.
+    val ranks = new Array[Int](math.min(keys.length.toLong, math.min(nEdges, Int.MaxValue.toLong)).toInt)
+    j = 0
+    while (j < ranks.length) { ranks(j) = keys(j).toInt; j += 1 }
+    java.util.Arrays.sort(ranks)
+    val (src, dst, weight) = (new Array[Long](ranks.length), new Array[Long](ranks.length), new Array[Double](ranks.length))
+    j = 0
+    while (j < ranks.length) {
+      val p = distinct(ranks(j))
+      src(j) = p >>> 32
+      dst(j) = p & 0xFFFFFFFFL
+      weight(j) = edgeWeight(src(j), dst(j), maxWeight)
+      j += 1
+    }
+    new EdgeList(src, dst, weight)
+  }
+
+  /** Spark SQL's `hash(src, dst)` of two `bigint` columns: Murmur3, seed 42,
+    * folded over the columns in order.
+    */
+  private[graph] def sqlHash(src: Long, dst: Long): Int =
+    Murmur3_x86_32.hashLong(dst, Murmur3_x86_32.hashLong(src, 42))
+
+  /** Sort key of the pair of rank `rank` (its place in (src, dst) order):
+    * `abs(hash)` in the high 32 bits, so keys order as
+    * (abs(hash), src, dst). A hash equal to `Int.MinValue` has no positive
+    * absolute value; `math.abs` leaves it negative, so the pair sorts first,
+    * as under Spark's non-ANSI `abs`. (Under ANSI mode, Spark 4's default,
+    * the SQL definition fails the query instead.) No catalog graph has such
+    * a pair.
+    */
+  private[graph] def orderKey(hash: Int, rank: Int): Long = math.abs(hash).toLong << 32 | rank
 
   /** One evaluation dataset: a scaled stand-in for a paper graph (Table 4). */
   final case class GraphSpec(name: String, scale: Int, targetEdges: Long, seed: Long,
@@ -124,10 +177,9 @@ object GraphGen {
     GraphSpec("FS", 15, 225000L, 107, 65.6, 1800.0, 8000, "Social"),
   )
 
-  /** Materialise one dataset as a cached PropertyGraph. */
+  /** One dataset as a graph laid out in `partitions` chunks. Its edges are
+    * generated in driver memory, so no Spark job runs.
+    */
   def build(spark: SparkSession, spec: GraphSpec, partitions: Int = 8): PropertyGraph =
-    PropertyGraph(
-      rmat(spark, spec.scale, spec.targetEdges, spec.seed).repartition(partitions),
-      spec.name
-    ).cached()
+    PropertyGraph.local(spark, spec.name, partitions)(rmatEdges(spec.scale, spec.targetEdges, spec.seed)).cached()
 }

@@ -3,31 +3,46 @@ package repro.graph
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** Immutable directed property graph over a Spark `DataFrame` of edges.
+/** Immutable directed property graph.
   *
-  * Schema: `src: Long, dst: Long, weight: Double`. The vertex set is the set
-  * of distinct edge endpoints (real-world graph datasets are edge lists;
-  * isolated vertices carry no information for any of the five applications).
+  * Its edges (`src: Long, dst: Long, weight: Double`) come from `source`,
+  * which computes them with the graph's chunk count whenever they are
+  * needed, and keeps nothing. The vertex set is the set of distinct edge
+  * endpoints (real-world graph datasets are edge lists; isolated vertices
+  * carry no information for any of the five applications).
   *
   * The engines run on [[layout]], Gemini's layering which SLFE inherits
   * (paper §3.1): dense vertex arrays and per-chunk CSR/CSC edge blocks, all
-  * in local memory, which the engines' chunk tasks read in place. The
-  * vertex ids, degrees and out-adjacency below are views over the layout's
-  * arrays.
+  * in local memory, which the engines' chunk tasks read in place. Apart
+  * from a defining DataFrame, the layout is the only form of the edges a
+  * graph retains. The vertex ids,
+  * degrees and out-adjacency below are views over its arrays.
   */
-final case class PropertyGraph(edges: DataFrame, name: String = "g") {
-
-  lazy val spark: SparkSession = edges.sparkSession
+final class PropertyGraph private (
+    val spark: SparkSession,
+    val name: String,
+    source: () => (EdgeList, Int),
+    frame: Option[DataFrame],
+) {
 
   private var built: Option[EdgeLayout] = None
 
-  /** The edge layout, built by one collect of the edges on first use and
-    * dropped by [[unpersist]] (a later use builds it again).
+  /** The edge layout, built from `source` on first use and dropped by
+    * [[unpersist]] (a later use builds it again).
     */
   def layout: EdgeLayout = synchronized {
-    if (built.isEmpty) built = Some(EdgeLayout.build(edges, name))
+    if (built.isEmpty) {
+      val (edges, chunks) = source()
+      built = Some(EdgeLayout.build(edges, chunks, name))
+    }
     built.get
   }
+
+  /** The edges as a DataFrame, for oracles: the DataFrame the graph was
+    * defined by, or else a view of its edge list, computed again on each
+    * call.
+    */
+  def edges: DataFrame = frame.getOrElse(source()._1.toDF(spark))
 
   /** Distinct vertex ids, ascending: vertex `vertexIds(i)` has dense index `i`. */
   def vertexIds: Array[Long] = layout.ids
@@ -60,24 +75,44 @@ final case class PropertyGraph(edges: DataFrame, name: String = "g") {
   lazy val maxOutDegVertex: Long = {
     val l = layout
     require(l.numVertices > 0, s"graph $name has no vertices")
-    l.ids(l.outDeg.indices.maxBy(i => (l.outDeg(i), -i)))
+    var best = 0
+    var i = 1
+    while (i < l.numVertices) { if (l.outDeg(i) > l.outDeg(best)) best = i; i += 1 }
+    l.ids(best)
   }
 
-  /** Undirected view: original plus reversed edges, de-duplicated.
-    * Weights ride along (CC ignores them; symmetric pairs keep both rows
-    * only if their weights differ, which is harmless for min/max apps).
+  /** Undirected view: original plus reversed edges, as distinct
+    * (src, dst, weight) triples ([[EdgeList.symmetrize]]), laid out in this
+    * graph's chunk count. The edges are read back from this graph's layout
+    * while it is built, else computed from its source, so using the view
+    * never rebuilds a layout this graph has dropped.
     */
-  def symmetrize: PropertyGraph = {
-    val rev = edges.select(col("dst") as "src", col("src") as "dst", col("weight"))
-    PropertyGraph(edges.select("src", "dst", "weight").unionByName(rev).distinct(), name + "-sym")
-  }
+  def symmetrize: PropertyGraph = new PropertyGraph(spark, name + "-sym", () => {
+    val (edges, chunks) = synchronized(built) match {
+      case Some(l) => (l.edgeList, l.numChunks)
+      case None => source()
+    }
+    (edges.symmetrize, chunks)
+  }, None)
 
-  /** Materialise and pin the edge list; returns `this` for chaining. */
-  def cached(): PropertyGraph = { edges.persist(); edges.count(); this }
+  /** Build the layout now; returns `this` for chaining. */
+  def cached(): PropertyGraph = { layout; this }
 
-  /** Drop the cached edge list and the layout. */
-  def unpersist(): Unit = synchronized {
-    edges.unpersist()
-    built = None
-  }
+  /** Drop the layout. */
+  def unpersist(): Unit = synchronized { built = None }
+}
+
+object PropertyGraph {
+
+  /** The graph of the edge DataFrame `edges`: one Spark job collects it for
+    * the layout, in as many chunks as it has partitions.
+    */
+  def apply(edges: DataFrame, name: String = "g"): PropertyGraph =
+    new PropertyGraph(edges.sparkSession, name, () => EdgeList.collect(edges), Some(edges))
+
+  /** The graph whose edge list `edges` computes in driver memory, computed
+    * again whenever it is needed, laid out in `chunks` chunks.
+    */
+  def local(spark: SparkSession, name: String, chunks: Int)(edges: => EdgeList): PropertyGraph =
+    new PropertyGraph(spark, name, () => (edges, chunks), None)
 }

@@ -15,14 +15,57 @@ class EdgeLayoutSpec extends SparkSpec {
   )
 
   test("chunks partition the dense index exactly and hold every edge once") {
+    // A DataFrame graph has a chunk per partition; a symmetrized one its source's count.
+    val chunks = Map("rmat" -> 5, "uniform" -> 3, "fig1-sym" -> figure1(spark).layout.numChunks)
     graphs.foreach { g =>
       val l = g.layout
       val blocks = l.blocks
-      assert(blocks.length == l.numChunks && l.numChunks == g.edges.rdd.getNumPartitions, g.name)
+      assert(blocks.length == l.numChunks && l.numChunks == chunks(g.name), g.name)
+      val cut = repro.partition.Chunking.partition(l.ids.toSeq, g.inDeg, l.numChunks)
+      assert(l.chunkStarts.toSeq == cut.scanLeft(0)(_ + _.vertices.size), g.name)
       assert(blocks.head.lo == 0 && blocks.last.hi == l.numVertices, g.name)
       blocks.sliding(2).foreach { case Array(a, b) => assert(a.hi == b.lo, g.name); case _ => }
       assert(blocks.map(_.numEdges.toLong).sum == g.numEdges, g.name)
       assert(l.chunkStarts.toSeq == blocks.map(_.lo).toSeq :+ l.numVertices, g.name)
+    }
+  }
+
+  test("a symmetrized graph is laid out in its source's chunk count") {
+    val spec = GraphGen.GraphSpec("R9", 9, 1500L, 35, 0.0, 0.0, 1, "RMAT")
+    for (g <- Seq(GraphGen.build(spark, spec), GraphGen.build(spark, spec, partitions = 3),
+                  PropertyGraph(GraphGen.uniform(spark, 40, 120, 36).repartition(6)))) {
+      assert(g.symmetrize.layout.numChunks == g.layout.numChunks, g.name)
+      assert(g.symmetrize.numEdges > g.numEdges, g.name)
+    }
+  }
+
+  test("a symmetrized graph never rebuilds a layout its source dropped") {
+    var computed = 0
+    val g = PropertyGraph.local(spark, "counted", 4) {
+      computed += 1
+      GraphGen.uniformEdges(30, 90, 37)
+    }
+    val fromLayout = g.symmetrize.cached().layout.edgeList
+    assert(computed == 1)
+    g.unpersist()
+    val sym = g.symmetrize.cached()
+    assert(computed == 2) // from g's source, not through g's layout
+    g.layout
+    assert(computed == 3) // so g's layout stayed dropped
+    val e = sym.layout.edgeList
+    val triples = (l: EdgeList) => l.src.indices.map(i => (l.src(i), l.dst(i), l.weight(i))).sorted
+    assert(triples(e) == triples(fromLayout) && sym.layout.numChunks == 4)
+  }
+
+  test("a graph defined by a generated DataFrame has one chunk on any machine") {
+    assert(GraphGen.rmat(spark, 7, 400, 31).rdd.getNumPartitions == 1)
+    assert(PropertyGraph(GraphGen.uniform(spark, 60, 250, 32)).layout.numChunks == 1)
+  }
+
+  test("the layout's edge list is the graph's edges") {
+    graphs.foreach { g =>
+      val e = g.layout.edgeList
+      assert(e.src.indices.map(i => (e.src(i), e.dst(i), e.weight(i))).sorted == collectEdges(g).sorted, g.name)
     }
   }
 

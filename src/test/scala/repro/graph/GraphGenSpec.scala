@@ -1,10 +1,97 @@
 package repro.graph
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.{SparkSpec, TestUtil}
 
 class GraphGenSpec extends SparkSpec {
   import TestUtil._
+
+  override def beforeAll(): Unit = { super.beforeAll(); tuneForIteration(spark) }
+
+  private type Edge = (Long, Long, Double)
+
+  /** The generators' SQL definition, the oracle for the local code: drop
+    * self-loops and duplicates from the drawn pairs, order by
+    * (abs(hash(src, dst)), src, dst), take `nEdges`, weight each edge.
+    */
+  private def sqlEdges(pairs: DataFrame, nEdges: Long): Set[Edge] = {
+    val s = spark
+    import s.implicits._
+    val weight = udf((src: Long, dst: Long) => GraphGen.edgeWeight(src, dst, 10))
+    pairs.filter($"src" =!= $"dst")
+      .distinct()
+      .orderBy(abs(hash($"src", $"dst")), $"src", $"dst")
+      .limit(nEdges.toInt)
+      .select($"src", $"dst", weight($"src", $"dst") as "weight")
+      .as[Edge].collect().toSet
+  }
+
+  private def sqlRmat(scale: Int, nEdges: Long, seed: Long): Set[Edge] = {
+    val s = spark
+    import s.implicits._
+    val edge = udf((i: Long) => GraphGen.rmatEdge(scale, seed, i, 0.57, 0.19, 0.19))
+    sqlEdges(spark.range(math.max(nEdges * 2, 64L)).select(edge($"id") as "e")
+      .select($"e._1" as "src", $"e._2" as "dst"), nEdges)
+  }
+
+  private def sqlUniform(nVertices: Long, nEdges: Long, seed: Long): Set[Edge] = {
+    val s = spark
+    import s.implicits._
+    val pair = udf((i: Long) => (java.lang.Math.floorMod(GraphGen.mix64(seed ^ GraphGen.mix64(2 * i)), nVertices),
+      java.lang.Math.floorMod(GraphGen.mix64(seed ^ GraphGen.mix64(2 * i + 1)), nVertices)))
+    sqlEdges(spark.range(math.max(nEdges * 2, 16L)).select(pair($"id") as "e")
+      .select($"e._1" as "src", $"e._2" as "dst"), nEdges)
+  }
+
+  /** The list's triples, checked to hold no duplicate. */
+  private def triples(e: EdgeList): Set[Edge] = {
+    val set = e.src.indices.map(i => (e.src(i), e.dst(i), e.weight(i))).toSet
+    assert(set.size == e.size, "duplicate edges")
+    set
+  }
+
+  test("local rmat and uniform equal their SQL definition") {
+    checkProp(Prop.forAll(Gen.choose(1, 10), Gen.choose(0L, 400L), Gen.choose(0L, 1000L)) {
+      (scale: Int, nEdges: Long, seed: Long) =>
+        triples(GraphGen.rmatEdges(scale, nEdges, seed)) == sqlRmat(scale, nEdges, seed)
+    }, minSuccessful = 8)
+    checkProp(Prop.forAll(Gen.choose(1L, 60L), Gen.choose(0L, 400L), Gen.choose(0L, 1000L)) {
+      (nVertices: Long, nEdges: Long, seed: Long) =>
+        triples(GraphGen.uniformEdges(nVertices, nEdges, seed)) == sqlUniform(nVertices, nEdges, seed)
+    }, minSuccessful = 8)
+  }
+
+  test("catalog PK equals its SQL definition") {
+    val pk = GraphGen.datasets.find(_.name == "PK").get
+    val local = triples(GraphGen.rmatEdges(pk.scale, pk.targetEdges, pk.seed))
+    assert(local.size == 30600 && local == sqlRmat(pk.scale, pk.targetEdges, pk.seed))
+  }
+
+  test("symmetrize equals SQL union + distinct, weights included") {
+    val s = spark
+    import s.implicits._
+    // 1 -> 2 appears twice; 1 <-> 2 carry different weights in each direction.
+    val literal = graph(spark, Seq((1L, 2L, 5.0), (1L, 2L, 5.0), (2L, 1L, 3.0), (2L, 3L, 1.0), (4L, 4L, 2.0)))
+    val dense = PropertyGraph(GraphGen.uniform(spark, 12, 90, 5)) // many reciprocal pairs
+    for (g <- Seq(literal, dense, figure1(spark))) {
+      val sql = g.edges.unionByName(g.edges.select($"dst" as "src", $"src" as "dst", $"weight")).distinct()
+      assert(triples(g.layout.edgeList.symmetrize) == sql.as[Edge].collect().toSet, g.name)
+      assert(collectEdges(g.symmetrize).toSet == sql.as[Edge].collect().toSet, g.name)
+    }
+    assert(triples(literal.layout.edgeList.symmetrize).count { case (a, b, _) => a == 1L && b == 2L } == 2)
+  }
+
+  test("the local order sorts a hash of Int.MinValue first") {
+    // Spark's `hash` of two bigints, as SQL computes it.
+    val s = spark
+    import s.implicits._
+    val h = Seq((3L, 7L), (-1L, 1L << 40)).toDF("src", "dst").select(hash($"src", $"dst")).as[Int].collect()
+    assert(h.toSeq == Seq(GraphGen.sqlHash(3L, 7L), GraphGen.sqlHash(-1L, 1L << 40)))
+    assert(GraphGen.orderKey(Int.MinValue, 9) < GraphGen.orderKey(0, 0))
+    assert(GraphGen.orderKey(-5, 0) > GraphGen.orderKey(4, 1) && GraphGen.orderKey(5, 0) < GraphGen.orderKey(5, 1))
+  }
 
   test("mix64 is deterministic and spreads nearby inputs") {
     assert(GraphGen.mix64(1L) == GraphGen.mix64(1L))

@@ -50,7 +50,7 @@ class GraphPropertiesSpec extends SparkSpec {
   test("datasets build() respects the requested partition count") {
     val spec = GraphGen.datasets.head
     val g = GraphGen.build(spark, spec, partitions = 4)
-    assert(g.edges.rdd.getNumPartitions == 4)
+    assert(g.layout.numChunks == 4 && g.symmetrize.layout.numChunks == 4)
     g.unpersist()
   }
 

@@ -59,6 +59,19 @@ class ChunkingSpec extends AnyFunSuite {
     }, minSuccessful = 50)
   }
 
+  test("property: cut over a degree array equals partition over the ids") {
+    val degrees = Gen.listOf(Gen.frequency(8 -> Gen.choose(0L, 5L), 1 -> Gen.choose(20L, 400L)))
+    checkProp(Prop.forAll(degrees, Gen.choose(1, 9)) { (degs: List[Long], p: Int) =>
+      val d = degs.toArray
+      // Ids in shuffled order, spaced out: partition sorts them.
+      val ids = scala.util.Random.shuffle(d.indices.map(i => 3L * i - 5).toList)
+      val chunks = Chunking.partition(ids, v => d(((v + 5) / 3).toInt), p)
+      val starts = Chunking.cut(d.length, d(_), p)
+      starts.toSeq == chunks.scanLeft(0)(_ + _.vertices.size) &&
+        chunks.indices.forall(c => chunks(c).edges == d.slice(starts(c), starts(c + 1)).sum)
+    }, minSuccessful = 100)
+  }
+
   test("imbalance near 1 for edge-balanced partition of a skewed graph") {
     val deg: Long => Long = v => if (v % 17 == 0) 40L else 1L
     val chunks = Chunking.partition((0L until 500L).toSeq, deg, parts = 8)
