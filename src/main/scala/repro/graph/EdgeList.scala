@@ -13,13 +13,17 @@ final class EdgeList(val src: Array[Long], val dst: Array[Long], val weight: Arr
 
   def size: Int = src.length
 
-  /** The edges as a DataFrame `src, dst, weight` over a local relation, so
-    * building it starts no Spark job. It has one partition, whatever the
-    * machine's parallelism, so a graph defined by it has one chunk.
+  /** The edges as a DataFrame `src, dst, weight`. Building it starts no
+    * Spark job; reading it runs one task, which ships the three arrays and
+    * makes the rows from them. It has one partition, whatever the machine's
+    * parallelism, so a graph defined by it has one chunk.
     */
   def toDF(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    Array.tabulate(size)(e => (src(e), dst(e), weight(e))).toSeq.toDF("src", "dst", "weight").coalesce(1)
+    val (s, d, w) = (src, dst, weight)
+    spark.sparkContext.parallelize(Seq(0), 1)
+      .flatMap(_ => Iterator.tabulate(s.length)(e => (s(e), d(e), w(e))))
+      .toDF("src", "dst", "weight")
   }
 
   /** Undirected view: these edges plus their reverses, as distinct

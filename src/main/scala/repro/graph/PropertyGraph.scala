@@ -39,10 +39,18 @@ final class PropertyGraph private (
   }
 
   /** The edges as a DataFrame, for oracles: the DataFrame the graph was
-    * defined by, or else a view of its edge list, computed again on each
-    * call.
+    * defined by, or else a view of its edge list ([[current]]).
     */
-  def edges: DataFrame = frame.getOrElse(source()._1.toDF(spark))
+  def edges: DataFrame = frame.getOrElse(current._1.toDF(spark))
+
+  /** The edge list and chunk count: read back from the layout while it is
+    * built, else computed from `source`, so reading the edges never
+    * rebuilds a layout this graph has dropped.
+    */
+  private def current: (EdgeList, Int) = synchronized(built) match {
+    case Some(l) => (l.edgeList, l.numChunks)
+    case None => source()
+  }
 
   /** Distinct vertex ids, ascending: vertex `vertexIds(i)` has dense index `i`. */
   def vertexIds: Array[Long] = layout.ids
@@ -82,16 +90,11 @@ final class PropertyGraph private (
   }
 
   /** Undirected view: original plus reversed edges, as distinct
-    * (src, dst, weight) triples ([[EdgeList.symmetrize]]), laid out in this
-    * graph's chunk count. The edges are read back from this graph's layout
-    * while it is built, else computed from its source, so using the view
-    * never rebuilds a layout this graph has dropped.
+    * (src, dst, weight) triples ([[EdgeList.symmetrize]]) of this graph's
+    * [[current]] edges, laid out in this graph's chunk count.
     */
   def symmetrize: PropertyGraph = new PropertyGraph(spark, name + "-sym", () => {
-    val (edges, chunks) = synchronized(built) match {
-      case Some(l) => (l.edgeList, l.numChunks)
-      case None => source()
-    }
+    val (edges, chunks) = current
     (edges.symmetrize, chunks)
   }, None)
 

@@ -57,6 +57,20 @@ class EdgeLayoutSpec extends SparkSpec {
     assert(triples(e) == triples(fromLayout) && sym.layout.numChunks == 4)
   }
 
+  test("a built graph's edges view reads its layout back") {
+    var computed = 0
+    val g = PropertyGraph.local(spark, "counted", 4) {
+      computed += 1
+      GraphGen.uniformEdges(30, 90, 37)
+    }
+    val fromSource = collectEdges(g).sorted
+    assert(computed == 1)
+    g.layout
+    assert(computed == 2)
+    assert(collectEdges(g).sorted == fromSource && g.edges.rdd.getNumPartitions == 1)
+    assert(computed == 2) // the view did not compute the edges again
+  }
+
   test("a graph defined by a generated DataFrame has one chunk on any machine") {
     assert(GraphGen.rmat(spark, 7, 400, 31).rdd.getNumPartitions == 1)
     assert(PropertyGraph(GraphGen.uniform(spark, 60, 250, 32)).layout.numChunks == 1)
