@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.{SparkSpec, TestUtil}
+import repro.SparkSpec
 import repro.graph.GraphGen
 
 /** Bench suites, one per evaluation table (see DESIGN.md §4). Each prints
@@ -8,11 +8,6 @@ import repro.graph.GraphGen
   * captures everything EXPERIMENTS.md diffs against the paper.
   */
 abstract class BenchBase extends SparkSpec {
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    TestUtil.tuneForIteration(spark)
-    spark.sparkContext.setLogLevel("WARN")
-  }
   protected def emit(s: String): Unit = { println(s); info(s) }
 }
 

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.apps.Apps
 import repro.core._
 import repro.graph.{GraphGen, PropertyGraph}
-import repro.partition.{Chunking, Replication}
+import repro.partition.Replication
 import repro.sched.WorkStealing
 
 /** Shared runners and printers for the evaluation tables; each table's bench
@@ -185,11 +185,14 @@ object Harness {
       val costs = WorkStealing.chunkCosts(loads)
       val static = WorkStealing.staticSchedule(costs, threads = 8)
       val steal = WorkStealing.stealingSchedule(costs, threads = 8)
-      val chunks = Chunking.partition(p.g.vertexIds.toSeq, p.g.outDeg, parts = 8)
+      // In-edge imbalance (max over mean) of the chunks the engines run:
+      // the layout's blocks, cut by in-degree.
+      val chunkEdges = p.g.layout.blocks.map(_.numEdges.toDouble)
+      val chunkImb = chunkEdges.max / (chunkEdges.sum / chunkEdges.length)
       val rfG = Replication.randomVertexCut(p.g, 8)
       val rfL = Replication.hybridCut(p.g, 8, threshold = 4 * p.g.numEdges / math.max(p.g.numVertices, 1))
       out(f"${spec.name}%-6s staticImb=${static.imbalance}%5.2f stealImb=${steal.imbalance}%5.2f " +
-        f"steals=${steal.steals}%4d chunkImb=${Chunking.imbalance(chunks)}%5.2f " +
+        f"steals=${steal.steals}%4d chunkImb=${chunkImb}%5.2f " +
         f"rf(PowerG)=${rfG}%5.2f rf(PowerL)=${rfL}%5.2f")
       p.g.unpersist(); p.sym.unpersist()
     }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.graph.{EdgeLayout, PropertyGraph, VertexMap}
 
 /** Redundancy-Reduction Guidance — the paper's preprocessing product.
@@ -43,13 +42,6 @@ final class RRGuidance private (
       s"the guidance was generated on $graph (${ids.length} vertices, $numEdges edges) and cannot " +
         s"guide a run on $name (${l.numVertices} vertices, ${l.numEdges} edges)")
     lastIters.map(li => if (li > 0) li else maxLevel + 1)
-  }
-
-  /** DataFrame view (id, level, lastIter) for oracle-style checks. */
-  def toDF(g: PropertyGraph): DataFrame = {
-    val spark = g.spark
-    import spark.implicits._
-    g.vertexIds.toSeq.map(v => (v, levelOf(v), lastIterOf(v))).toDF("id", "level", "lastiter")
   }
 }
 

@@ -15,8 +15,7 @@ final class EdgeList(val src: Array[Long], val dst: Array[Long], val weight: Arr
 
   /** The edges as a DataFrame `src, dst, weight`. Building it starts no
     * Spark job; reading it runs one task, which ships the three arrays and
-    * makes the rows from them. It has one partition, whatever the machine's
-    * parallelism, so a graph defined by it has one chunk.
+    * makes the rows from them.
     */
   def toDF(spark: SparkSession): DataFrame = {
     import spark.implicits._
@@ -62,24 +61,6 @@ final class EdgeList(val src: Array[Long], val dst: Array[Long], val weight: Arr
 }
 
 object EdgeList {
-
-  /** One job collects `df`'s `src, dst, weight` columns, partition by
-    * partition; returns the edges and `df`'s partition count (at least 1).
-    */
-  def collect(df: DataFrame): (EdgeList, Int) = {
-    val spark = df.sparkSession
-    import spark.implicits._
-    val parts = df.select($"src", $"dst", $"weight").as[(Long, Long, Double)].rdd
-      .mapPartitions { it =>
-        val s = Array.newBuilder[Long]; val d = Array.newBuilder[Long]; val w = Array.newBuilder[Double]
-        it.foreach { case (a, b, c) => s += a; d += b; w += c }
-        Iterator((s.result(), d.result(), w.result()))
-      }
-      .collect()
-    val edges = new EdgeList(Array.concat(parts.map(_._1).toIndexedSeq: _*),
-      Array.concat(parts.map(_._2).toIndexedSeq: _*), Array.concat(parts.map(_._3).toIndexedSeq: _*))
-    (edges, parts.length.max(1))
-  }
 
   /** SQL `distinct`'s equality on doubles: -0.0 equals 0.0 and every NaN
     * equals every NaN.

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.unsafe.hash.Murmur3_x86_32
 
 /** Deterministic synthetic graph generators.
@@ -77,17 +77,6 @@ object GraphGen {
       s << 32 | d
     }
   }
-
-  /** [[rmatEdges]] as a DataFrame `src, dst, weight` (a view of the list). */
-  def rmat(spark: SparkSession, scale: Int, nEdges: Long, seed: Long,
-           a: Double = 0.57, b: Double = 0.19, c: Double = 0.19,
-           maxWeight: Int = 10): DataFrame =
-    rmatEdges(scale, nEdges, seed, a, b, c, maxWeight).toDF(spark)
-
-  /** [[uniformEdges]] as a DataFrame `src, dst, weight` (a view of the list). */
-  def uniform(spark: SparkSession, nVertices: Long, nEdges: Long, seed: Long,
-              maxWeight: Int = 10): DataFrame =
-    uniformEdges(nVertices, nEdges, seed, maxWeight).toDF(spark)
 
   /** The edges `pair(0 until draws)`, each a (src, dst) pair packed as
     * `src << 32 | dst` with both ids in [0, 2^31), without self-loops and
@@ -181,5 +170,5 @@ object GraphGen {
     * generated in driver memory, so no Spark job runs.
     */
   def build(spark: SparkSession, spec: GraphSpec, partitions: Int = 8): PropertyGraph =
-    PropertyGraph.local(spark, spec.name, partitions)(rmatEdges(spec.scale, spec.targetEdges, spec.seed)).cached()
+    PropertyGraph(spark, spec.name, partitions)(rmatEdges(spec.scale, spec.targetEdges, spec.seed)).cached()
 }

@@ -6,23 +6,23 @@ import org.apache.spark.sql.functions._
 /** Immutable directed property graph.
   *
   * Its edges (`src: Long, dst: Long, weight: Double`) come from `source`,
-  * which computes them with the graph's chunk count whenever they are
-  * needed, and keeps nothing. The vertex set is the set of distinct edge
-  * endpoints (real-world graph datasets are edge lists; isolated vertices
-  * carry no information for any of the five applications).
+  * which computes them in driver memory whenever they are needed, and keeps
+  * nothing. The vertex set is the set of distinct edge endpoints
+  * (real-world graph datasets are edge lists; isolated vertices carry no
+  * information for any of the five applications).
   *
   * The engines run on [[layout]], Gemini's layering which SLFE inherits
   * (paper §3.1): dense vertex arrays and per-chunk CSR/CSC edge blocks, all
-  * in local memory, which the engines' chunk tasks read in place. Apart
-  * from a defining DataFrame, the layout is the only form of the edges a
-  * graph retains. The vertex ids,
-  * degrees and out-adjacency below are views over its arrays.
+  * in local memory, in `chunks` destination chunks, which the engines'
+  * chunk tasks read in place. The layout is the only form of the edges a
+  * graph retains. The vertex ids, degrees and out-adjacency below are views
+  * over its arrays.
   */
 final class PropertyGraph private (
     val spark: SparkSession,
     val name: String,
-    source: () => (EdgeList, Int),
-    frame: Option[DataFrame],
+    chunks: Int,
+    source: () => EdgeList,
 ) {
 
   private var built: Option[EdgeLayout] = None
@@ -31,24 +31,19 @@ final class PropertyGraph private (
     * [[unpersist]] (a later use builds it again).
     */
   def layout: EdgeLayout = synchronized {
-    if (built.isEmpty) {
-      val (edges, chunks) = source()
-      built = Some(EdgeLayout.build(edges, chunks, name))
-    }
+    if (built.isEmpty) built = Some(EdgeLayout.build(source(), chunks, name))
     built.get
   }
 
-  /** The edges as a DataFrame, for oracles: the DataFrame the graph was
-    * defined by, or else a view of its edge list ([[current]]).
-    */
-  def edges: DataFrame = frame.getOrElse(current._1.toDF(spark))
+  /** The edges as a DataFrame, for oracles: a view of [[current]]. */
+  def edges: DataFrame = current.toDF(spark)
 
-  /** The edge list and chunk count: read back from the layout while it is
-    * built, else computed from `source`, so reading the edges never
-    * rebuilds a layout this graph has dropped.
+  /** The edge list: read back from the layout while it is built, else
+    * computed from `source`, so reading the edges never rebuilds a layout
+    * this graph has dropped.
     */
-  private def current: (EdgeList, Int) = synchronized(built) match {
-    case Some(l) => (l.edgeList, l.numChunks)
+  private def current: EdgeList = synchronized(built) match {
+    case Some(l) => l.edgeList
     case None => source()
   }
 
@@ -73,10 +68,7 @@ final class PropertyGraph private (
     vertexIds.toSeq.toDF("id")
   }
 
-  /** Out-degrees as a DataFrame (sinks omitted), for oracle checks. */
-  def outDegrees: DataFrame = edges.groupBy(col("src") as "id").agg(count(lit(1)) as "deg")
-
-  /** In-degrees as a DataFrame (sources omitted), for oracle checks. */
+  /** In-degrees as a DataFrame (sources omitted), for `partition.Replication`'s hybrid cut. */
   def inDegrees: DataFrame = edges.groupBy(col("dst") as "id").agg(count(lit(1)) as "deg")
 
   /** Highest-out-degree vertex, smallest id on ties — the bench root. */
@@ -93,10 +85,7 @@ final class PropertyGraph private (
     * (src, dst, weight) triples ([[EdgeList.symmetrize]]) of this graph's
     * [[current]] edges, laid out in this graph's chunk count.
     */
-  def symmetrize: PropertyGraph = new PropertyGraph(spark, name + "-sym", () => {
-    val (edges, chunks) = current
-    (edges.symmetrize, chunks)
-  }, None)
+  def symmetrize: PropertyGraph = new PropertyGraph(spark, name + "-sym", chunks, () => current.symmetrize)
 
   /** Build the layout now; returns `this` for chaining. */
   def cached(): PropertyGraph = { layout; this }
@@ -107,15 +96,10 @@ final class PropertyGraph private (
 
 object PropertyGraph {
 
-  /** The graph of the edge DataFrame `edges`: one Spark job collects it for
-    * the layout, in as many chunks as it has partitions.
-    */
-  def apply(edges: DataFrame, name: String = "g"): PropertyGraph =
-    new PropertyGraph(edges.sparkSession, name, () => EdgeList.collect(edges), Some(edges))
-
   /** The graph whose edge list `edges` computes in driver memory, computed
-    * again whenever it is needed, laid out in `chunks` chunks.
+    * again whenever it is needed, laid out in `chunks` chunks. Defining it
+    * starts no Spark job, and neither does laying it out.
     */
-  def local(spark: SparkSession, name: String, chunks: Int)(edges: => EdgeList): PropertyGraph =
-    new PropertyGraph(spark, name, () => (edges, chunks), None)
+  def apply(spark: SparkSession, name: String = "g", chunks: Int)(edges: => EdgeList): PropertyGraph =
+    new PropertyGraph(spark, name, chunks, () => edges)
 }

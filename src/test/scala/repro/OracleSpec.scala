@@ -44,7 +44,7 @@ class OracleSpec extends SparkSpec {
   }
 
   test("recursive-CTE helper SQL is well-formed on a trivial graph") {
-    val g = TestUtil.graph(spark, Seq((0L, 1L, 2.0)))
+    val g = TestUtil.graph(spark, Seq((0L, 1L, 2.0)), chunks = 1)
     Oracle.assertEquivalent(
       Seq((0L, 0.0), (1L, 2.0)).toDF("id", "dist"),
       TestUtil.ssspSql(0L, bound = 100),

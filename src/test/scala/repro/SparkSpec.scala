@@ -23,8 +23,10 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
+      // Test inputs are tiny: eight shuffle partitions keep each oracle
+      // query's shuffles short.
       .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "8"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // Spark's INFO lines would drown the test results.

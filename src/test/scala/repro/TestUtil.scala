@@ -1,9 +1,11 @@
 package repro
 
+import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Prop, Test => SCTest}
-import repro.graph.PropertyGraph
+import repro.graph.{EdgeList, PropertyGraph}
 
 /** Shared helpers for the test suites: ScalaCheck runner (scalatestplus is
   * not available offline), small graph builders, and DuckDB recursive-CTE
@@ -20,17 +22,36 @@ object TestUtil {
     assert(res.passed, s"property failed: ${res.status}")
   }
 
-  /** Lower shuffle parallelism for iterative engine tests — tiny inputs,
-    * many rounds.
+  /** `body`'s result and the number of Spark jobs started while it ran. A
+    * listener sees jobs in the order they start, so every job of `body`
+    * arrives before a marker job run after it.
     */
-  def tuneForIteration(spark: SparkSession): Unit =
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-
-  /** Build a PropertyGraph from literal (src, dst, weight) triples. */
-  def graph(spark: SparkSession, edges: Seq[(Long, Long, Double)], name: String = "t"): PropertyGraph = {
-    import spark.implicits._
-    PropertyGraph(edges.toDF("src", "dst", "weight"), name)
+  def sparkJobs[T](spark: SparkSession)(body: => T): (T, Int) = {
+    val sc = spark.sparkContext
+    val marker = "sparkJobs-marker"
+    val started = new LinkedBlockingQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        started.put(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).getOrElse(""))
+    }
+    sc.addSparkListener(listener)
+    try {
+      val result = body
+      sc.setJobDescription(marker)
+      try sc.parallelize(Seq(0), 1).count() finally sc.setJobDescription(null)
+      def next() = started.poll(60, TimeUnit.SECONDS)
+      var jobs = 0
+      var d = next()
+      while (d != null && d != marker) { jobs += 1; d = next() }
+      assert(d == marker, "the marker job was not seen")
+      (result, jobs)
+    } finally sc.removeSparkListener(listener)
   }
+
+  /** The graph of literal (src, dst, weight) triples, in `chunks` chunks. */
+  def graph(spark: SparkSession, edges: Seq[(Long, Long, Double)], chunks: Int, name: String = "t"): PropertyGraph =
+    PropertyGraph(spark, name, chunks)(new EdgeList(edges.map(_._1).toArray, edges.map(_._2).toArray,
+      edges.map(_._3).toArray))
 
   /** Collect a graph's edges to the driver for the pure-Scala references. */
   def collectEdges(g: PropertyGraph): Seq[(Long, Long, Double)] = {
@@ -39,11 +60,13 @@ object TestUtil {
     g.edges.select($"src", $"dst", $"weight").as[(Long, Long, Double)].collect().toSeq
   }
 
-  /** Paper Fig. 1 example graph (final SSSP dists 0,1,2,2,3,4 from V0). */
+  /** Paper Fig. 1 example graph (final SSSP dists 0,1,2,2,3,4 from V0), in
+    * four chunks, so that even this tiny graph runs the multi-chunk path.
+    */
   def figure1(spark: SparkSession): PropertyGraph = graph(spark, Seq(
     (0L, 1L, 1.0), (0L, 3L, 2.0), (1L, 2L, 1.0),
     (3L, 4L, 2.0), (2L, 4L, 1.0), (4L, 5L, 1.0),
-  ), "fig1")
+  ), chunks = 4, name = "fig1")
 
   /** A vertex->value map as a two-column DataFrame. */
   def valuesDF(spark: SparkSession, m: Map[Long, Double], valueCol: String): DataFrame = {

@@ -11,10 +11,8 @@ import repro.graph.{GraphGen, PropertyGraph, Reference}
 class GasEngineSpec extends SparkSpec {
   import TestUtil._
 
-  override def beforeAll(): Unit = { super.beforeAll(); tuneForIteration(spark) }
-
   test("dense GAS SSSP matches Dijkstra") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 111)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 111)).cached()
     val root = g.maxOutDegVertex
     val expected = Reference.sssp(collectEdges(g), root)
     val r = GasEngine.runMinMax(g, Apps.sssp(root), dense = true)
@@ -23,7 +21,7 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("signaled GAS SSSP matches Dijkstra") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 112)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 112)).cached()
     val root = g.maxOutDegVertex
     val expected = Reference.sssp(collectEdges(g), root)
     val r = GasEngine.runMinMax(g, Apps.sssp(root), dense = false)
@@ -32,7 +30,7 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("dense and signaled GAS agree with the SLFE engine on CC") {
-    val g = PropertyGraph(GraphGen.uniform(spark, 25, 45, 113)).symmetrize.cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 45, 113)).symmetrize.cached()
     val slfe = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
     val dense = GasEngine.runMinMax(g, Apps.cc, dense = true)
     val signaled = GasEngine.runMinMax(g, Apps.cc, dense = false)
@@ -42,7 +40,7 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("dense GAS WP matches the reference") {
-    val g = PropertyGraph(GraphGen.uniform(spark, 20, 55, 114)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 55, 114)).cached()
     val root = g.maxOutDegVertex
     val expected = Reference.widestPath(collectEdges(g), root)
     val r = GasEngine.runMinMax(g, Apps.wp(root), dense = true)
@@ -51,7 +49,7 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("dense GAS PR matches the reference power iteration") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 6, 120, 115)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 120, 115)).cached()
     val expected = Reference.pagerank(collectEdges(g), 8)
     val r = GasEngine.runArith(g, Apps.pagerank(), dense = true, iters = 8)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
@@ -59,7 +57,7 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("signaled GAS PR matches the reference power iteration") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 6, 120, 116)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 120, 116)).cached()
     val expected = Reference.pagerank(collectEdges(g), 8)
     val r = GasEngine.runArith(g, Apps.pagerank(), dense = false, iters = 8)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
@@ -67,7 +65,7 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("signaled GAS TR matches the reference") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 6, 120, 117)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 120, 117)).cached()
     val expected = Reference.tunkrank(collectEdges(g), 6)
     val r = GasEngine.runArith(g, Apps.tunkrank(), dense = false, iters = 6)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
@@ -78,7 +76,7 @@ class GasEngineSpec extends SparkSpec {
     // PowerG vs PowerL (dense vs signaled gather) and SLFE vs Gemini (RR vs
     // no RR on the identical engine) are the substrate-independent orderings;
     // SLFE vs PowerL in *counts* is graph-dependent (see DESIGN.md).
-    val g = PropertyGraph(GraphGen.rmat(spark, 8, 600, 118)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(8, 600, 118)).cached()
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
     val powerG = GasEngine.runMinMax(g, Apps.sssp(root), dense = true)
@@ -102,7 +100,7 @@ class GasEngineSpec extends SparkSpec {
   test("signaled GAS stops when the signal set drains") {
     // Chain 0->1->2: iter 1 settles vertex 1, iter 2 settles vertex 2 whose
     // scatter signals nobody — the loop exits right there.
-    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0)))
+    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0)), chunks = 2)
     val r = GasEngine.runMinMax(g, Apps.sssp(0L), dense = false)
     assert(r.iterations == 2)
     assert(r.values == Map(0L -> 0.0, 1L -> 1.0, 2L -> 2.0))
@@ -116,7 +114,7 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("updates-per-vertex ordering on SSSP: baselines above SLFE (Table 2 shape)") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 7, 350, 119)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 350, 119)).cached()
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
     val powerL = GasEngine.runMinMax(g, Apps.sssp(root), dense = false)

@@ -75,8 +75,6 @@ class EdgeOpsKernelSpec extends SparkSpec {
   import TestUtil._
   import repro.graph.{GraphGen, PropertyGraph}
 
-  override def beforeAll(): Unit = { super.beforeAll(); tuneForIteration(spark) }
-
   private type Agg = Map[Long, (Double, Long)]
 
   private def bruteForce(edges: Seq[(Long, Long, Double)], prog: VertexProgram,
@@ -104,8 +102,8 @@ class EdgeOpsKernelSpec extends SparkSpec {
   test("aggregate matches a brute-force fold on random graphs; push and pull agree") {
     val rnd = new scala.util.Random(5)
     val gs = Seq(
-      PropertyGraph(GraphGen.rmat(spark, 7, 500, 41), "rmat").cached(),
-      PropertyGraph(GraphGen.uniform(spark, 80, 300, 42), "uniform").cached())
+      PropertyGraph(spark, "rmat", chunks = 1)(GraphGen.rmatEdges(7, 500, 41)).cached(),
+      PropertyGraph(spark, "uniform", chunks = 1)(GraphGen.uniformEdges(80, 300, 42)).cached())
     for (g <- gs) {
       val edges = collectEdges(g)
       val ids = g.vertexIds.toSeq
@@ -130,21 +128,15 @@ class EdgeOpsKernelSpec extends SparkSpec {
   }
 
   test("an aggregate call starts no Spark job") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 7, 300, 43)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 43)).cached()
     val srcs = g.vertexIds.toSeq.map(v => (v, 1.0, g.outDeg(v)))
-    val sc = spark.sparkContext
-    for (dsts <- Seq(None, Some(g.vertexIds.toSeq.take(10)))) {
-      val group = s"edgeops-${dsts.isDefined}"
-      sc.setJobGroup(group, group)
-      try EdgeOps.aggregate(g, Apps.pagerank(), srcs, dsts) finally sc.clearJobGroup()
-      Thread.sleep(200)
-      assert(sc.statusTracker.getJobIdsForGroup(group).isEmpty)
-    }
+    for (dsts <- Seq(None, Some(g.vertexIds.toSeq.take(10))))
+      assert(sparkJobs(spark)(EdgeOps.aggregate(g, Apps.pagerank(), srcs, dsts))._2 == 0, dsts.isDefined)
     g.unpersist()
   }
 
   test("a failing message fails the call with its type") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 7, 300, 44).repartition(4))
+    val g = PropertyGraph(spark, chunks = 4)(GraphGen.rmatEdges(7, 300, 44))
     val i = g.layout.outDeg.indexWhere(_ > 0)
     val v = g.vertexIds(i)
     val bad = Apps.cc.copy(msg = (srcVal, _, _) => {
@@ -160,8 +152,8 @@ class EdgeOpsKernelSpec extends SparkSpec {
   }
 
   test("concurrent engine runs match sequential runs") {
-    val gs = Seq(PropertyGraph(GraphGen.rmat(spark, 8, 1200, 45).repartition(4), "rmat"),
-      PropertyGraph(GraphGen.uniform(spark, 150, 600, 46).repartition(3), "uniform"))
+    val gs = Seq(PropertyGraph(spark, "rmat", chunks = 4)(GraphGen.rmatEdges(8, 1200, 45)),
+      PropertyGraph(spark, "uniform", chunks = 3)(GraphGen.uniformEdges(150, 600, 46)))
     val runs: Seq[() => RunResult] = gs.flatMap { g =>
       val root = g.maxOutDegVertex
       val rrg = RRGuidance.generate(g, Set(root))

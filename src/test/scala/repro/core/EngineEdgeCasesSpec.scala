@@ -8,10 +8,8 @@ import repro.graph.{GraphGen, PropertyGraph, Reference}
 class EngineEdgeCasesSpec extends SparkSpec {
   import TestUtil._
 
-  override def beforeAll(): Unit = { super.beforeAll(); tuneForIteration(spark) }
-
   test("SSSP with unit weights equals BFS hop distance") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 201)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 201)).cached()
     val root = g.maxOutDegVertex
     val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), None)
     val (level, _) = Reference.bfsGuidance(collectEdges(g), Set(root))
@@ -21,7 +19,7 @@ class EngineEdgeCasesSpec extends SparkSpec {
   }
 
   test("unit-weight SSSP with RR equals BFS hop distance too") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 202)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 202)).cached()
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
     val noRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), None)
@@ -31,14 +29,14 @@ class EngineEdgeCasesSpec extends SparkSpec {
   }
 
   test("single-edge graph converges in both engines") {
-    val g = TestUtil.graph(spark, Seq((7L, 8L, 4.0)))
+    val g = TestUtil.graph(spark, Seq((7L, 8L, 4.0)), chunks = 1)
     val rrg = RRGuidance.generate(g, Set(7L))
     val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(7L), Some(rrg))
     assert(r.values == Map(7L -> 0.0, 8L -> 4.0))
   }
 
   test("self-contained two-cycle: CC labels collapse to the minimum") {
-    val g = TestUtil.graph(spark, Seq((5L, 6L, 1.0), (6L, 5L, 1.0)))
+    val g = TestUtil.graph(spark, Seq((5L, 6L, 1.0), (6L, 5L, 1.0)), chunks = 2)
     val r = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
     assert(r.values == Map(5L -> 5.0, 6L -> 5.0))
   }
@@ -52,7 +50,7 @@ class EngineEdgeCasesSpec extends SparkSpec {
   }
 
   test("unreachable root side: vertices beyond the root stay at init") {
-    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (2L, 3L, 1.0)))
+    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (2L, 3L, 1.0)), chunks = 2)
     val rrg = RRGuidance.generate(g, Set(0L))
     val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), Some(rrg))
     assert(r.values(1L) == 1.0 && r.values(3L) == Apps.Inf)
@@ -65,7 +63,7 @@ class EngineEdgeCasesSpec extends SparkSpec {
   }
 
   test("RR arith run freezes vertices permanently once EC") {
-    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (2L, 0L, 1.0)))
+    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (2L, 0L, 1.0)), chunks = 3)
     val rrg = RRGuidance.generate(g, Set(0L))
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = 60)
     // 3-cycle PR fixpoint is 1.0 for every vertex; EC freezing must not move it.

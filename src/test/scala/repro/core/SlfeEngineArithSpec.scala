@@ -11,10 +11,8 @@ import repro.graph.{GraphGen, PropertyGraph, Reference}
 class SlfeEngineArithSpec extends SparkSpec {
   import TestUtil._
 
-  override def beforeAll(): Unit = { super.beforeAll(); tuneForIteration(spark) }
-
   test("PR without RR equals the reference power iteration exactly in shape") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 91)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 91)).cached()
     val iters = 10
     val expected = Reference.pagerank(collectEdges(g), iters)
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
@@ -23,7 +21,7 @@ class SlfeEngineArithSpec extends SparkSpec {
   }
 
   test("PR with RR stays within tolerance of the full computation") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 92)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 92)).cached()
     val iters = 40
     val expected = Reference.pagerank(collectEdges(g), iters)
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
@@ -35,7 +33,7 @@ class SlfeEngineArithSpec extends SparkSpec {
   }
 
   test("PR matches the DuckDB iterated-CTE oracle (3 iterations, rounded)") {
-    val g = PropertyGraph(GraphGen.uniform(spark, 15, 40, 93)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(15, 40, 93)).cached()
     val iters = 3
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
     val got = valuesDF(spark, r.values, "v").select(col("id"), round(col("v"), 4) as "rank")
@@ -44,7 +42,7 @@ class SlfeEngineArithSpec extends SparkSpec {
   }
 
   test("PR of a 2-cycle converges to the analytic fixpoint 1.0") {
-    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 0L, 1.0)))
+    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 0L, 1.0)), chunks = 2)
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 50)
     assert(math.abs(r.values(0L) - 1.0) < 1e-9 && math.abs(r.values(1L) - 1.0) < 1e-9)
   }
@@ -52,14 +50,14 @@ class SlfeEngineArithSpec extends SparkSpec {
   test("pure sources are computed at least once despite lastIter 0") {
     // In-degree-0 vertices have no RRG entry from any root set; the engine
     // clamps their ruler to 1 so their first apply (rank -> 0.15) happens.
-    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0)))
+    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0)), chunks = 2)
     val rrg = RRGuidance.generate(g, Set(0L))
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = 20)
     assert(math.abs(r.values(0L) - 0.15) < 1e-12)
   }
 
   test("TR without RR equals the reference") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 94)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 94)).cached()
     val iters = 10
     val expected = Reference.tunkrank(collectEdges(g), iters)
     val r = SlfeEngine.edgeProcArith(g, Apps.tunkrank(), None, iters = iters)
@@ -68,7 +66,7 @@ class SlfeEngineArithSpec extends SparkSpec {
   }
 
   test("TR with RR stays within tolerance") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, 95)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 95)).cached()
     val iters = 40
     val expected = Reference.tunkrank(collectEdges(g), iters)
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
@@ -78,7 +76,7 @@ class SlfeEngineArithSpec extends SparkSpec {
   }
 
   test("EC vertices reduce computed-vertex counts over the run (finish early)") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 7, 400, 96)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 400, 96)).cached()
     val iters = 30
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
     val noRR = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
@@ -91,14 +89,14 @@ class SlfeEngineArithSpec extends SparkSpec {
   }
 
   test("without RR every iteration computes every vertex (the paper's redundancy)") {
-    val g = PropertyGraph(GraphGen.uniform(spark, 25, 60, 97)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 60, 97)).cached()
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 5)
     assert(r.stats.forall(_.computedVertices == g.numVertices))
     g.unpersist()
   }
 
   test("earlyStop halts once no computed vertex changes") {
-    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0)))
+    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0)), chunks = 1)
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 100, earlyStop = true)
     assert(r.iterations < 100)
     // Fixpoint: 0 -> 0.15, 1 -> 0.15 + 0.85*0.15.
@@ -106,7 +104,7 @@ class SlfeEngineArithSpec extends SparkSpec {
   }
 
   test("per-iteration stats are internally consistent") {
-    val g = PropertyGraph(GraphGen.uniform(spark, 20, 50, 98)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 50, 98)).cached()
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 4)
     r.stats.foreach { s =>
       assert(s.updates <= s.computedVertices)

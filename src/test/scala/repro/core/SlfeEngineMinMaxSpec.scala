@@ -11,8 +11,6 @@ import repro.graph.{GraphGen, PropertyGraph, Reference}
 class SlfeEngineMinMaxSpec extends SparkSpec {
   import TestUtil._
 
-  override def beforeAll(): Unit = { super.beforeAll(); tuneForIteration(spark) }
-
   private def ssspBoth(g: PropertyGraph, root: Long): (RunResult, RunResult) = {
     val rrg = RRGuidance.generate(g, Set(root))
     val noRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None)
@@ -34,7 +32,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("SSSP matches Dijkstra on random RMAT graphs, with and without RR") {
     for (seed <- Seq(21L, 22L, 23L)) {
-      val g = PropertyGraph(GraphGen.rmat(spark, 6, 150, seed)).cached()
+      val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, seed)).cached()
       val root = g.maxOutDegVertex
       val expected = Reference.sssp(collectEdges(g), root)
       val (noRR, withRR) = ssspBoth(g, root)
@@ -45,7 +43,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("SSSP final distances match the DuckDB recursive oracle") {
-    val g = PropertyGraph(GraphGen.uniform(spark, 25, 70, 31)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 70, 31)).cached()
     val root = g.maxOutDegVertex
     val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None)
     val reachable = r.values.filter(_._2 < 1e17)
@@ -57,7 +55,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("SSSP with RR matches the DuckDB recursive oracle too") {
-    val g = PropertyGraph(GraphGen.uniform(spark, 25, 70, 32)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 70, 32)).cached()
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
     val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg))
@@ -70,7 +68,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("CC labels every vertex with its component minimum (vs union-find)") {
     for (seed <- Seq(41L, 42L)) {
-      val base = PropertyGraph(GraphGen.uniform(spark, 30, 45, seed))
+      val base = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(30, 45, seed))
       val g = base.symmetrize.cached()
       val expected = Reference.components(collectEdges(base)).map { case (k, v) => k -> v.toDouble }
       val rrg = RRGuidance.generate(g, Set(g.vertexIds.min))
@@ -84,7 +82,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("CC matches the DuckDB min-label closure oracle") {
     val g = TestUtil.graph(spark,
-      Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (5L, 6L, 1.0), (7L, 5L, 1.0), (9L, 9L + 1, 1.0)))
+      Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (5L, 6L, 1.0), (7L, 5L, 1.0), (9L, 9L + 1, 1.0)), chunks = 4)
       .symmetrize
     val r = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
     import org.apache.spark.sql.functions.col
@@ -94,7 +92,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("WP matches the reference widest path, with and without RR") {
     for (seed <- Seq(51L, 52L)) {
-      val g = PropertyGraph(GraphGen.rmat(spark, 6, 180, seed)).cached()
+      val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 180, seed)).cached()
       val root = g.maxOutDegVertex
       val expected = Reference.widestPath(collectEdges(g), root)
       val rrg = RRGuidance.generate(g, Set(root))
@@ -107,7 +105,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("WP matches the DuckDB max-min closure oracle") {
-    val g = PropertyGraph(GraphGen.uniform(spark, 20, 50, 61)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 50, 61)).cached()
     val root = g.maxOutDegVertex
     val r = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), None)
     Oracle.assertEquivalent(
@@ -119,7 +117,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("RR and no-RR converge to identical values on many seeds (Theorem 1)") {
     for (seed <- 71L to 75L) {
-      val g = PropertyGraph(GraphGen.uniform(spark, 20, 55, seed)).cached()
+      val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 55, seed)).cached()
       val root = g.maxOutDegVertex
       val (noRR, withRR) = ssspBoth(g, root)
       assert(noRR.values == withRR.values, s"seed=$seed")
@@ -129,7 +127,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("SSSP starts in push mode from a single active root") {
     // A 25-edge chain: the root's one out-edge is 4% of |E|, below the switch.
-    val g = TestUtil.graph(spark, (0L until 25L).map(i => (i, i + 1, 1.0)))
+    val g = TestUtil.graph(spark, (0L until 25L).map(i => (i, i + 1, 1.0)), chunks = 4)
     assert(g.outDeg(0L) <= Engine.DenseFraction * g.numEdges)
     val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None)
     assert(r.stats.head.mode == "push")
@@ -154,14 +152,14 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
     // fast-converging remainder could otherwise strand it (the case the
     // verification push exists for).
     val chain = (0 until 8).map(i => (100L + i, 101L + i, 1.0))
-    val g = TestUtil.graph(spark, Seq((0L, 100L, 1.0), (0L, 1L, 1.0)) ++ chain)
+    val g = TestUtil.graph(spark, Seq((0L, 100L, 1.0), (0L, 1L, 1.0)) ++ chain, chunks = 4)
     val rrg = RRGuidance.generate(g, Set(0L))
     val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), Some(rrg))
     assert(r.values(108L) == 9.0)
   }
 
   test("per-iteration computed vertices under RR never exceed the no-RR count") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 7, 300, 81)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 81)).cached()
     val root = g.maxOutDegVertex
     val (noRR, withRR) = ssspBoth(g, root)
     // Pull iterations without RR always compute every vertex; with RR the
@@ -174,7 +172,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("updates-per-vertex is at least ~1 for reachable-heavy graphs (Table 2 metric)") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 7, 300, 82)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 82)).cached()
     val (noRR, _) = ssspBoth(g, g.maxOutDegVertex)
     assert(noRR.updatesPerVertex(g.numVertices) > 0.0)
     assert(noRR.totalUpdates >= noRR.values.count(_._2 < 1e17) - 1) // every reached vertex updated >= once

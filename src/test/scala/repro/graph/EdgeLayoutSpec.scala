@@ -6,17 +6,15 @@ import repro.{SparkSpec, TestUtil}
 class EdgeLayoutSpec extends SparkSpec {
   import TestUtil._
 
-  override def beforeAll(): Unit = { super.beforeAll(); tuneForIteration(spark) }
-
   private def graphs: Seq[PropertyGraph] = Seq(
-    PropertyGraph(GraphGen.rmat(spark, 7, 400, 31).repartition(5), "rmat"),
-    PropertyGraph(GraphGen.uniform(spark, 60, 250, 32).repartition(3), "uniform"),
+    PropertyGraph(spark, "rmat", chunks = 5)(GraphGen.rmatEdges(7, 400, 31)),
+    PropertyGraph(spark, "uniform", chunks = 3)(GraphGen.uniformEdges(60, 250, 32)),
     figure1(spark).symmetrize,
   )
 
   test("chunks partition the dense index exactly and hold every edge once") {
-    // A DataFrame graph has a chunk per partition; a symmetrized one its source's count.
-    val chunks = Map("rmat" -> 5, "uniform" -> 3, "fig1-sym" -> figure1(spark).layout.numChunks)
+    // A symmetrized graph has its source's chunk count.
+    val chunks = Map("rmat" -> 5, "uniform" -> 3, "fig1-sym" -> 4)
     graphs.foreach { g =>
       val l = g.layout
       val blocks = l.blocks
@@ -33,7 +31,7 @@ class EdgeLayoutSpec extends SparkSpec {
   test("a symmetrized graph is laid out in its source's chunk count") {
     val spec = GraphGen.GraphSpec("R9", 9, 1500L, 35, 0.0, 0.0, 1, "RMAT")
     for (g <- Seq(GraphGen.build(spark, spec), GraphGen.build(spark, spec, partitions = 3),
-                  PropertyGraph(GraphGen.uniform(spark, 40, 120, 36).repartition(6)))) {
+                  PropertyGraph(spark, chunks = 6)(GraphGen.uniformEdges(40, 120, 36)))) {
       assert(g.symmetrize.layout.numChunks == g.layout.numChunks, g.name)
       assert(g.symmetrize.numEdges > g.numEdges, g.name)
     }
@@ -41,7 +39,7 @@ class EdgeLayoutSpec extends SparkSpec {
 
   test("a symmetrized graph never rebuilds a layout its source dropped") {
     var computed = 0
-    val g = PropertyGraph.local(spark, "counted", 4) {
+    val g = PropertyGraph(spark, "counted", chunks = 4) {
       computed += 1
       GraphGen.uniformEdges(30, 90, 37)
     }
@@ -59,7 +57,7 @@ class EdgeLayoutSpec extends SparkSpec {
 
   test("a built graph's edges view reads its layout back") {
     var computed = 0
-    val g = PropertyGraph.local(spark, "counted", 4) {
+    val g = PropertyGraph(spark, "counted", chunks = 4) {
       computed += 1
       GraphGen.uniformEdges(30, 90, 37)
     }
@@ -71,9 +69,19 @@ class EdgeLayoutSpec extends SparkSpec {
     assert(computed == 2) // the view did not compute the edges again
   }
 
-  test("a graph defined by a generated DataFrame has one chunk on any machine") {
-    assert(GraphGen.rmat(spark, 7, 400, 31).rdd.getNumPartitions == 1)
-    assert(PropertyGraph(GraphGen.uniform(spark, 60, 250, 32)).layout.numChunks == 1)
+  test("laying out a test graph starts no Spark job") {
+    val graphs = Seq(graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 2.0)), chunks = 2),
+      PropertyGraph(spark, chunks = 3)(GraphGen.rmatEdges(7, 300, 38)), figure1(spark).symmetrize)
+    val (_, jobs) = sparkJobs(spark)(graphs.foreach(_.layout))
+    assert(jobs == 0)
+  }
+
+  test("a literal graph gets exactly the chunk count it asks for") {
+    val edges = Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (2L, 0L, 1.0))
+    for (k <- 1 to spark.sparkContext.defaultParallelism + 3) {
+      val l = graph(spark, edges, chunks = k).layout
+      assert(l.numChunks == k && l.blocks.length == k && l.blocks.map(_.numEdges).sum == 3, s"$k chunks")
+    }
   }
 
   test("the layout's edge list is the graph's edges") {
@@ -84,7 +92,7 @@ class EdgeLayoutSpec extends SparkSpec {
   }
 
   test("an edgeless graph has an empty layout that the engines accept") {
-    val g = graph(spark, Seq.empty)
+    val g = graph(spark, Seq.empty, chunks = 1)
     assert(g.numVertices == 0 && g.numEdges == 0 && g.layout.blocks.length == g.layout.numChunks)
     val r = repro.core.SlfeEngine.edgeProcMinMax(g, repro.apps.Apps.cc, None)
     assert(r.values.isEmpty && r.totalComputations == 0)
@@ -111,7 +119,7 @@ class EdgeLayoutSpec extends SparkSpec {
   }
 
   test("chunks balance in-edges: no chunk exceeds its share by more than one vertex's in-degree") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 9, 3000, 33).repartition(4), "rmat")
+    val g = PropertyGraph(spark, "rmat", chunks = 4)(GraphGen.rmatEdges(9, 3000, 33))
     val l = g.layout
     val loads = l.blocks.map(_.numEdges)
     assert(loads.max <= g.numEdges / 4 + 1 + l.inDeg.max, loads.toSeq)
@@ -130,16 +138,16 @@ class EdgeLayoutSpec extends SparkSpec {
 
   test("vertex ids outside (-2^53, 2^53) are rejected with a clear message") {
     for (bad <- Seq(1L << 53, Long.MaxValue, -(1L << 53))) {
-      val g = graph(spark, Seq((1L, bad, 1.0)))
+      val g = graph(spark, Seq((1L, bad, 1.0)), chunks = 1)
       val e = intercept[IllegalArgumentException](g.layout)
       assert(e.getMessage.contains(s"vertex id $bad") && e.getMessage.contains("2^53"), e.getMessage)
     }
-    assert(graph(spark, Seq((0L, (1L << 53) - 1, 1.0))).numVertices == 2)
+    assert(graph(spark, Seq((0L, (1L << 53) - 1, 1.0)), chunks = 1).numVertices == 2)
   }
 
   test("the layout holds no RDD; unpersist rebuilds it") {
     val sc = spark.sparkContext
-    val g = PropertyGraph(GraphGen.uniform(spark, 20, 40, 34))
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 40, 34))
     val before = sc.getPersistentRDDs.keySet
     val (l, m) = (g.layout, g.numEdges)
     assert(sc.getPersistentRDDs.keySet == before)

@@ -8,8 +8,6 @@ import repro.{SparkSpec, TestUtil}
 class GraphGenSpec extends SparkSpec {
   import TestUtil._
 
-  override def beforeAll(): Unit = { super.beforeAll(); tuneForIteration(spark) }
-
   private type Edge = (Long, Long, Double)
 
   /** The generators' SQL definition, the oracle for the local code: drop
@@ -73,8 +71,9 @@ class GraphGenSpec extends SparkSpec {
     val s = spark
     import s.implicits._
     // 1 -> 2 appears twice; 1 <-> 2 carry different weights in each direction.
-    val literal = graph(spark, Seq((1L, 2L, 5.0), (1L, 2L, 5.0), (2L, 1L, 3.0), (2L, 3L, 1.0), (4L, 4L, 2.0)))
-    val dense = PropertyGraph(GraphGen.uniform(spark, 12, 90, 5)) // many reciprocal pairs
+    val literal = graph(spark, Seq((1L, 2L, 5.0), (1L, 2L, 5.0), (2L, 1L, 3.0), (2L, 3L, 1.0), (4L, 4L, 2.0)),
+      chunks = 4)
+    val dense = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(12, 90, 5)) // many reciprocal pairs
     for (g <- Seq(literal, dense, figure1(spark))) {
       val sql = g.edges.unionByName(g.edges.select($"dst" as "src", $"src" as "dst", $"weight")).distinct()
       assert(triples(g.layout.edgeList.symmetrize) == sql.as[Edge].collect().toSet, g.name)
@@ -120,47 +119,41 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("rmat generator is deterministic in its arguments") {
-    val a = GraphGen.rmat(spark, 8, 500, 5).collect().toSet
-    val b = GraphGen.rmat(spark, 8, 500, 5).collect().toSet
-    assert(a == b)
+    assert(triples(GraphGen.rmatEdges(8, 500, 5)) == triples(GraphGen.rmatEdges(8, 500, 5)))
   }
 
   test("rmat graphs with different seeds differ") {
-    val a = GraphGen.rmat(spark, 8, 500, 5).collect().toSet
-    val b = GraphGen.rmat(spark, 8, 500, 6).collect().toSet
-    assert(a != b)
+    assert(triples(GraphGen.rmatEdges(8, 500, 5)) != triples(GraphGen.rmatEdges(8, 500, 6)))
   }
 
   test("rmat hits its target edge count (or close, after dedup)") {
-    val n = GraphGen.rmat(spark, 9, 800, 11).count()
+    val n = GraphGen.rmatEdges(9, 800, 11).size
     assert(n <= 800 && n >= 700, s"got $n")
   }
 
   test("rmat has no self loops or duplicate edges") {
-    val df = GraphGen.rmat(spark, 8, 600, 3).cache()
-    assert(df.filter("src = dst").count() == 0)
-    assert(df.select("src", "dst").distinct().count() == df.count())
-    df.unpersist()
+    val e = triples(GraphGen.rmatEdges(8, 600, 3)) // fails on a duplicate (src, dst, weight)
+    assert(e.forall { case (s, d, _) => s != d })
+    assert(e.map { case (s, d, _) => (s, d) }.size == e.size)
   }
 
   test("rmat degree distribution is skewed (hub degree far above average)") {
-    val g = PropertyGraph(GraphGen.rmat(spark, 10, 4000, 17))
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(10, 4000, 17))
     val maxDeg = g.outDeg.values.max
     val avg = g.numEdges.toDouble / g.numVertices
     assert(maxDeg > 3 * avg, s"maxDeg=$maxDeg avg=$avg")
   }
 
   test("uniform generator is deterministic, self-loop free, in range") {
-    val a = GraphGen.uniform(spark, 40, 120, 9).collect()
-    val b = GraphGen.uniform(spark, 40, 120, 9).collect()
-    assert(a.toSet == b.toSet)
-    assert(a.forall(r => r.getLong(0) != r.getLong(1)))
-    assert(a.forall(r => r.getLong(0) >= 0 && r.getLong(0) < 40 && r.getLong(1) >= 0 && r.getLong(1) < 40))
+    val a = triples(GraphGen.uniformEdges(40, 120, 9))
+    assert(a == triples(GraphGen.uniformEdges(40, 120, 9)))
+    assert(a.forall { case (s, d, _) => s != d })
+    assert(a.forall { case (s, d, _) => s >= 0 && s < 40 && d >= 0 && d < 40 })
   }
 
   test("uniform generator weight column is integral in [1,10]") {
-    val ws = GraphGen.uniform(spark, 30, 80, 2).select("weight").collect().map(_.getDouble(0))
-    assert(ws.forall(w => w >= 1 && w <= 10 && w == math.floor(w)))
+    val ws = GraphGen.uniformEdges(30, 80, 2).weight
+    assert(ws.nonEmpty && ws.forall(w => w >= 1 && w <= 10 && w == math.floor(w)))
   }
 
   test("datasets catalog covers the paper's seven graphs") {

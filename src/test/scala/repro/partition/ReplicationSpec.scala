@@ -7,7 +7,7 @@ import repro.graph.{GraphGen, PropertyGraph}
 class ReplicationSpec extends SparkSpec {
   import TestUtil._
 
-  private def skewed = PropertyGraph(GraphGen.rmat(spark, 8, 800, 131)).cached()
+  private def skewed = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(8, 800, 131)).cached()
 
   test("replication factors are at least 1 and at most k") {
     val g = skewed
