@@ -76,8 +76,6 @@ object Harness {
     Cell(system, app, p.spec.name, r.seconds, r.totalComputations, r.totalUpdates, r.iterations)
   }
 
-  private def fmt(d: Double): String = f"$d%.2f"
-
   /** Table 4: dataset statistics — paper's graphs vs the scaled stand-ins. */
   def table4(spark: SparkSession, specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
     out("== Table 4: graph datasets (paper vs scaled stand-in) ==")
@@ -116,7 +114,7 @@ object Harness {
   def table5(spark: SparkSession, specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
     val systems = Seq("PowerG", "PowerL", "Gemini", "SLFE")
     val apps = Seq("SSSP", "CC", "WP", "PR", "TR")
-    out("== Table 5: millions of edge computations; seconds and iterations in parens ==")
+    out("== Table 5: millions of edge computations; milliseconds and iterations in parens ==")
     out("   (SSSP/CC/WP: total to convergence; PR/TR: per-iteration, as in the paper)")
     val speedupsG = scala.collection.mutable.ArrayBuffer.empty[Double]
     val speedupsL = scala.collection.mutable.ArrayBuffer.empty[Double]
@@ -138,7 +136,7 @@ object Harness {
         val supL = metric(byName("PowerL")) / slfe
         speedupsG += supG; speedupsL += supL
         out(f"$app%-5s " + cells.map(c =>
-          f"${c.system}=${metric(c) / 1e6}%8.4fM(${fmt(c.seconds)}%7ss,${c.iters}%3dit)").mkString(" ") +
+          f"${c.system}=${metric(c) / 1e6}%8.4fM(${c.seconds * 1e3}%8.2fms,${c.iters}%3dit)").mkString(" ") +
           f"  speedup vs PowerG=${supG}%6.2fx vs PowerL=${supL}%6.2fx")
       }
       p.g.unpersist(); p.sym.unpersist()

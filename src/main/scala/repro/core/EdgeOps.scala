@@ -1,7 +1,8 @@
 package repro.core
 
 import java.util.BitSet
-import java.util.concurrent.{Callable, ExecutionException, ExecutorService, Executors}
+import java.util.concurrent.{CountDownLatch, ExecutorService, Executors}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import repro.graph.{EdgeBlock, EdgeLayout, PropertyGraph, VertexMap}
 
 /** One vertex's initial state for a program, by id, as [[EdgeOps.initState]]
@@ -19,42 +20,89 @@ final case class VState(
 
 /** What one aggregation delivered, over the graph's dense vertex index:
   * `count(i)` edges sent vertex `i` a message and `agg(i)` combines them.
-  * `agg(i)` is meaningful only where `count(i) > 0`.
+  * `agg(i)` is meaningful only where `count(i) > 0`. The vertices that
+  * received a message are listed too, so a caller can walk them alone.
+  *
+  * One buffer serves a whole run: each call first clears the receivers of
+  * the call before, so reusing it costs the frontier, not `n`.
   */
-final class Messages(val agg: Array[Double], val count: Array[Int]) {
+final class Messages(n: Int) {
+  val agg = new Array[Double](n)
+  val count = new Array[Int](n)
+  // Receivers: recv(0 until numRecv) once a call is done. While it runs,
+  // the chunk with destination range [lo, hi) lists its own from recv(lo).
+  private[core] val recv = new Array[Int](n)
+  private var numRecv = 0
+  private var numEdges = 0L
+
   def received(i: Int): Boolean = count(i) > 0
 
   /** Edges processed, the paper's computation count. */
-  def edges: Long = count.foldLeft(0L)(_ + _)
+  def edges: Long = numEdges
 
   /** Vertices that received at least one message. */
-  def receivers: Int = count.count(_ > 0)
+  def receivers: Int = numRecv
+
+  /** The `k`-th receiver, `0 <= k < receivers`; a push lists each chunk's
+    * in the order its first message arrived.
+    */
+  def receiver(k: Int): Int = recv(k)
+
+  /** Forgets the last call's messages. */
+  private[core] def clear(): Unit = {
+    var k = 0
+    while (k < numRecv) { count(recv(k)) = 0; k += 1 }
+    numRecv = 0
+    numEdges = 0L
+  }
+
+  /** Forgets every message, after a call that failed part way. */
+  private[core] def wipe(): Unit = {
+    java.util.Arrays.fill(count, 0)
+    numRecv = 0
+    numEdges = 0L
+  }
+
+  /** Joins the chunks' receiver lists, chunk `c` having listed `ends(c) -
+    * starts(c)` of them from `recv(starts(c))`, into one list.
+    */
+  private[core] def finish(starts: Array[Int], ends: Array[Int], edges: Long): Unit = {
+    var k = 0
+    for (c <- ends.indices) {
+      val len = ends(c) - starts(c)
+      System.arraycopy(recv, starts(c), recv, k, len)
+      k += len
+    }
+    numRecv = k
+    numEdges = edges
+  }
 }
 
 /** The edge half of every engine: messages over the graph's partitioned
   * edge blocks ([[repro.graph.EdgeLayout]]), combined per destination. As in
-  * Gemini's single-node runtime, each call runs one task per chunk on a
-  * fixed in-process worker pool and waits for all of them. Pull walks the
-  * CSC in-edges of the selected destinations; push walks the CSR out-edges
-  * of the active sources, as in Gemini's dense and sparse modes. Each chunk
-  * returns dense arrays over its own destination range, and the caller lays
-  * them side by side in chunk order. No Spark job runs, so the edge passes
-  * run in the calling JVM whatever the Spark master.
+  * Gemini's single-node runtime, a call runs one task per chunk: the caller
+  * and up to (parallelism - 1) threads of a fixed in-process pool claim
+  * chunks from one counter until none is left, and the caller waits for the
+  * ones still running. Pull walks the CSC in-edges of the selected
+  * destinations; push walks the CSR out-edges of the active sources, as in
+  * Gemini's dense and sparse modes. Chunks own disjoint destination ranges,
+  * so each one writes its aggregates, counts and receivers straight into the
+  * call's [[Messages]]. No Spark job runs, so the edge passes run in the
+  * calling JVM whatever the Spark master.
   */
 private[repro] object EdgeOps {
 
-  /** One chunk's share of an aggregation; null arrays when it processed no edge. */
-  private final case class Partial(lo: Int, agg: Array[Double], count: Array[Int])
-
   private var pool: ExecutorService = _
+  private var parallelism = 1
 
-  /** The worker pool, created on first use with as many daemon threads as
-    * the Spark context's default parallelism (`local[n]` sets it to n).
+  /** The helper pool, created on first use with one daemon thread fewer than
+    * the Spark context's default parallelism (`local[n]` sets it to n): the
+    * caller is the last one.
     */
   private def workers(g: PropertyGraph): ExecutorService = synchronized {
     if (pool == null) {
-      val n = g.spark.sparkContext.defaultParallelism.max(1)
-      pool = Executors.newFixedThreadPool(n, (r: Runnable) => {
+      parallelism = g.spark.sparkContext.defaultParallelism.max(1)
+      pool = Executors.newFixedThreadPool((parallelism - 1).max(1), (r: Runnable) => {
         val t = new Thread(r, "edgeops-worker")
         t.setDaemon(true)
         t
@@ -63,40 +111,91 @@ private[repro] object EdgeOps {
     pool
   }
 
-  /** `task` on every block, one pool task each; the partials in chunk order.
-    * A failing task fails the call with its own exception.
+  /** One call's chunk tasks. `run` claims chunks until none is left; the
+    * task of chunk `c` returns its edge count and sets `ends(c)` to where its
+    * receiver list ends. After the first failure the remaining chunks are
+    * claimed but not run.
     */
-  private def perChunk(g: PropertyGraph, l: EdgeLayout)(task: EdgeBlock => Partial): Messages = {
-    val pool = workers(g)
-    val futures = l.blocks.map(b => pool.submit(new Callable[Partial] { def call(): Partial = task(b) }))
-    val parts =
-      try futures.map(_.get)
-      catch { case e: ExecutionException => futures.foreach(_.cancel(true)); throw e.getCause }
-    assemble(l.numVertices, parts)
+  private final class Chunks(blocks: Array[EdgeBlock], task: (EdgeBlock, Array[Int], Int) => Long)
+      extends Runnable {
+    val ends = new Array[Int](blocks.length)
+    private val edges = new Array[Long](blocks.length)
+    private val next = new AtomicInteger
+    private val done = new CountDownLatch(blocks.length)
+    private val failure = new AtomicReference[Throwable]
+
+    def run(): Unit = {
+      var c = next.getAndIncrement()
+      while (c < blocks.length) {
+        try if (failure.get == null) edges(c) = task(blocks(c), ends, c)
+        catch { case t: Throwable => failure.compareAndSet(null, t) }
+        finally done.countDown()
+        c = next.getAndIncrement()
+      }
+    }
+
+    /** Waits for every chunk; their total edge count, or the first failure. */
+    def await(): Long = {
+      done.await()
+      val t = failure.get
+      if (t != null) throw t
+      var sum = 0L
+      for (e <- edges) sum += e
+      sum
+    }
   }
+
+  /** `task` on every block into `m`, which it clears first. A failing task
+    * fails the call with its own exception and leaves `m` empty.
+    */
+  private def perChunk(g: PropertyGraph, l: EdgeLayout, m: Messages)
+                      (task: (EdgeBlock, Array[Int], Int) => Long): Messages = {
+    val pool = workers(g)
+    m.clear()
+    val chunks = new Chunks(l.blocks, task)
+    for (_ <- 1 until parallelism.min(l.numChunks)) pool.execute(chunks)
+    chunks.run()
+    val edges =
+      try chunks.await()
+      catch { case t: Throwable => m.wipe(); throw t }
+    m.finish(l.chunkStarts, chunks.ends, edges)
+    m
+  }
+
+  private def buffer(l: EdgeLayout, into: Messages): Messages =
+    if (into == null) new Messages(l.numVertices)
+    else {
+      require(into.count.length == l.numVertices,
+        s"a buffer of ${into.count.length} vertices for a graph of ${l.numVertices}")
+      into
+    }
 
   /** Pull: each destination in `dsts` (None: all) gathers over its in-edges
     * from the sources in `srcs` (None: all), reading source values from the
-    * dense `values`.
+    * dense `values`. The result goes to `into`, cleared first, if given.
     */
   def pull(g: PropertyGraph, prog: VertexProgram, values: Array[Double],
-           dsts: Option[BitSet], srcs: Option[BitSet] = None): Messages = {
+           dsts: Option[BitSet], srcs: Option[BitSet] = None, into: Messages = null): Messages = {
     val l = g.layout
     require(values.length == l.numVertices)
-    if (dsts.exists(_.isEmpty) || srcs.exists(_.isEmpty)) return none(l.numVertices)
+    val m = buffer(l, into)
+    if (dsts.exists(_.isEmpty) || srcs.exists(_.isEmpty)) return none(m)
     val (msg, agg, d, s) = (prog.msg, prog.agg, dsts.orNull, srcs.orNull)
-    perChunk(g, l)(pullBlock(_, msg, agg, values, d, s))
+    perChunk(g, l, m)(pullBlock(_, _, _, msg, agg, values, d, s, m))
   }
 
   /** Push: the sources `srcs` (dense indices) send their value in `values`
-    * over all their out-edges.
+    * over all their out-edges. The result goes to `into`, cleared first, if
+    * given.
     */
-  def push(g: PropertyGraph, prog: VertexProgram, values: Array[Double], srcs: Array[Int]): Messages = {
+  def push(g: PropertyGraph, prog: VertexProgram, values: Array[Double], srcs: Array[Int],
+           into: Messages = null): Messages = {
     val l = g.layout
     require(values.length == l.numVertices)
-    if (srcs.isEmpty) return none(l.numVertices)
-    val (msg, agg, sv) = (prog.msg, prog.agg, srcs.map(values))
-    perChunk(g, l)(pushBlock(_, msg, agg, srcs, sv))
+    val m = buffer(l, into)
+    if (srcs.isEmpty) return none(m)
+    val (msg, agg) = (prog.msg, prog.agg)
+    perChunk(g, l, m)(pushBlock(_, _, _, msg, agg, values, srcs, m))
   }
 
   /** Aggregate messages into destinations, by vertex id.
@@ -145,69 +244,67 @@ private[repro] object EdgeOps {
     }
   }
 
-  private def none(n: Int): Messages = new Messages(new Array[Double](n), new Array[Int](n))
+  private def none(m: Messages): Messages = { m.clear(); m }
 
-  private def assemble(n: Int, parts: Array[Partial]): Messages = {
-    val m = none(n)
-    parts.foreach { p =>
-      if (p.agg != null) {
-        System.arraycopy(p.agg, 0, m.agg, p.lo, p.agg.length)
-        System.arraycopy(p.count, 0, m.count, p.lo, p.count.length)
-      }
-    }
-    m
-  }
-
-  private def pullBlock(b: EdgeBlock, msg: Message, agg: AggKind, values: Array[Double],
-                        dsts: BitSet, srcs: BitSet): Partial = {
-    var acc: Array[Double] = null
-    var cnt: Array[Int] = null
+  private def pullBlock(b: EdgeBlock, ends: Array[Int], c: Int, msg: Message, agg: AggKind,
+                        values: Array[Double], dsts: BitSet, srcs: BitSet, m: Messages): Long = {
+    val (acc, cnt, recv) = (m.agg, m.count, m.recv)
+    var k = b.lo
+    var edges = 0L
     var d = if (dsts == null) b.lo else dsts.nextSetBit(b.lo)
     while (d >= 0 && d < b.hi) {
       val j = d - b.lo
       var a = agg.zero
-      var c = 0
+      var n = 0
       var e = b.inOff(j)
       val end = b.inOff(j + 1)
       while (e < end) {
         val s = b.inSrc(e)
         if (srcs == null || srcs.get(s)) {
           a = agg.combine(a, msg(values(s), b.inW(e), b.outDeg(s)))
-          c += 1
+          n += 1
         }
         e += 1
       }
-      if (c > 0) {
-        if (acc == null) { acc = new Array[Double](b.hi - b.lo); cnt = new Array[Int](b.hi - b.lo) }
-        acc(j) = a
-        cnt(j) = c
+      if (n > 0) {
+        acc(d) = a
+        cnt(d) = n
+        recv(k) = d
+        k += 1
+        edges += n
       }
       d = if (dsts == null) d + 1 else dsts.nextSetBit(d + 1)
     }
-    Partial(b.lo, acc, cnt)
+    ends(c) = k
+    edges
   }
 
-  private def pushBlock(b: EdgeBlock, msg: Message, agg: AggKind, srcs: Array[Int],
-                        srcVals: Array[Double]): Partial = {
-    var acc: Array[Double] = null
-    var cnt: Array[Int] = null
-    var k = 0
-    while (k < srcs.length) {
-      val s = srcs(k)
+  private def pushBlock(b: EdgeBlock, ends: Array[Int], c: Int, msg: Message, agg: AggKind,
+                        values: Array[Double], srcs: Array[Int], m: Messages): Long = {
+    val (acc, cnt, recv) = (m.agg, m.count, m.recv)
+    var k = b.lo
+    var edges = 0L
+    var i = 0
+    while (i < srcs.length) {
+      val s = srcs(i)
+      val v = values(s)
       var e = b.outOff(s)
       val end = b.outOff(s + 1)
-      if (e < end && acc == null) {
-        acc = Array.fill(b.hi - b.lo)(agg.zero)
-        cnt = new Array[Int](b.hi - b.lo)
-      }
+      edges += end - e
       while (e < end) {
-        val j = b.outDst(e) - b.lo
-        acc(j) = agg.combine(acc(j), msg(srcVals(k), b.outW(e), b.outDeg(s)))
-        cnt(j) += 1
+        val d = b.outDst(e)
+        val x = msg(v, b.outW(e), b.outDeg(s))
+        if (cnt(d) == 0) {
+          acc(d) = agg.combine(agg.zero, x)
+          recv(k) = d
+          k += 1
+        } else acc(d) = agg.combine(acc(d), x)
+        cnt(d) += 1
         e += 1
       }
-      k += 1
+      i += 1
     }
-    Partial(b.lo, acc, cnt)
+    ends(c) = k
+    edges
   }
 }

@@ -54,6 +54,12 @@ object Schedule {
   *   is below its `lastIter`, clamped to >= 1 so that pure sources apply
   *   once ("finish early", `pullEdge_multiRuler` and Alg. 5's
   *   `vertexUpdate`).
+  *
+  * The driver's share of an iteration follows its frontier, as in Ligra's
+  * `VertexSubset` and Gemini's sparse mode: the messages land in one
+  * [[Messages]] buffer per run, a min/max apply walks only their receivers,
+  * and start-late's scheduled set is a slice of one counting sort by
+  * `lastIter`.
   */
 object Engine {
 
@@ -73,16 +79,34 @@ object Engine {
     val t0 = System.nanoTime()
     val l = g.layout
     val n = l.numVertices
-    val values = Array.tabulate(n)(i => prog.initValue(l.ids(i)))
-    var active = indexSet(n)(i => prog.initActive(l.ids(i))) // updated by the last iteration
+    val values = new Array[Double](n)
+    val active = new BitSet(n) // updated by the last iteration
+    var i = 0
+    while (i < n) {
+      values(i) = prog.initValue(l.ids(i))
+      if (prog.initActive(l.ids(i))) active.set(i)
+      i += 1
+    }
     val lastIter = schedule match {
       case Slfe(rrg) => rrg.lastIterOver(l, g.name)
       case _         => new Array[Int](n)
     }
-    val maxLastIter = lastIter.foldLeft(0)(math.max) // beyond it an SLFE min/max run only pushes
+    var maxLastIter = 0 // beyond it an SLFE min/max run only pushes
+    i = 0
+    while (i < n) { maxLastIter = math.max(maxLastIter, lastIter(i)); i += 1 }
     val stable = new Array[Int](n) // unchanged applies in a row
+    // Start-late's schedule: the vertices with lastIter k are
+    // byLastIter(from(k) until from(k + 1)).
+    val (byLastIter, from) = bucketsOf(lastIter, maxLastIter)
+    val scheduled = new BitSet(n)
+    // Finish-early's vertices not yet frozen; freezing is permanent.
+    val finishEarly = prog.arith && schedule.isInstanceOf[Slfe]
+    val unfrozen = new BitSet(n)
+    unfrozen.set(0, n)
     val signals = schedule == PowerL && !prog.arith
-    var signalled = if (signals) { val b = outNbrs(l, active); b.or(active); b } else null
+    val signalled = new BitSet(n)
+    if (signals) { outNbrs(l, active, signalled); signalled.or(active) }
+    val msgs = new Messages(n)
     val stats = Vector.newBuilder[IterationStat]
     var iter = 0
     var pulled = false      // the last iteration pulled
@@ -99,21 +123,29 @@ object Engine {
       })
       // Alg. 3 lines 2-4: a vertex a pull skipped may hold updates its
       // successors never read, so a push after a pull starts all-active.
-      if (push && (pulled || verifying)) { active = indexSet(n)(_ => true); needsVerify = false }
+      if (push && (pulled || verifying)) { active.set(0, n); needsVerify = false }
       // Destinations that gather: all, PowerL's signalled set, start-late's
       // scheduled ones, or finish-early's not-yet-frozen ones.
       val dsts = if (push) None else (schedule, prog.arith) match {
         case (PowerL, false)  => Some(signalled)
-        case (Slfe(_), false) => Some(indexSet(n)(lastIter(_) == iter))
-        case (Slfe(_), true)  => Some(indexSet(n)(i => stable(i) < math.max(lastIter(i), 1)))
+        case (Slfe(_), false) =>
+          scheduled.clear()
+          var k = from(iter)
+          while (k < from(iter + 1)) { scheduled.set(byLastIter(k)); k += 1 }
+          Some(scheduled)
+        case (Slfe(_), true)  => Some(unfrozen)
         case _                => None
       }
-      val msgs =
-        if (push) EdgeOps.push(g, prog, values, active.stream.toArray)
-        else EdgeOps.pull(g, prog, values, dsts)
+      val e0 = System.nanoTime()
+      if (push) EdgeOps.push(g, prog, values, members(active), msgs)
+      else EdgeOps.pull(g, prog, values, dsts, into = msgs)
+      val edgeNanos = System.nanoTime() - e0
       val computed = if (push) msgs.receivers else dsts.fold(n)(_.cardinality)
       if (!push && computed < n) needsVerify = true
-      active = applyAll(prog, values, stable, msgs, dsts)
+      active.clear()
+      if (prog.arith) applyAll(prog, values, stable, msgs, dsts, active)
+      else applyReceivers(prog, values, stable, msgs, active)
+      if (finishEarly) freeze(unfrozen, stable, lastIter)
       val updates = active.cardinality.toLong
       val scatter = schedule match {
         case PowerG => l.numEdges
@@ -125,9 +157,7 @@ object Engine {
         case PowerL => "gas-signaled"
         case _      => if (push) "push" else "pull"
       }
-      stats += IterationStat(iter, mode, computed, msgs.edges + scatter, updates,
-        (System.nanoTime() - it0) / 1000000L)
-      if (signals) signalled = outNbrs(l, active)
+      if (signals) { signalled.clear(); outNbrs(l, active, signalled) }
       // Quiescence is exact (Theorem 1) unless a pull skipped vertices: then
       // an all-active push must change nothing first.
       done =
@@ -136,50 +166,99 @@ object Engine {
         else updates == 0 && !needsVerify
       verifying = !prog.arith && updates == 0 && !done
       pulled = !push
+      stats += IterationStat(iter, mode, computed, msgs.edges + scatter, updates,
+        System.nanoTime() - it0, edgeNanos)
     }
     require(done || prog.arith,
       s"${schedule.name}/${prog.name} on ${g.name} hit maxIters=$maxIters before converging")
     RunResult(schedule.name, prog.name, g.name, VertexMap.dense(l.ids, values), stats.result(),
-      (System.nanoTime() - t0) / 1000000L)
+      System.nanoTime() - t0)
   }
 
-  /** Applies `msgs` in place to the destinations `dsts` (None: all): a
-    * min/max vertex only if it received a message, an arithmetic one always
-    * (with the program's no-message aggregate if none arrived). Returns the
-    * vertices whose value changed.
+  /** Applies the messages of a min/max pass in place, walking their
+    * receivers: a vertex keeps its value unless its aggregate improves it.
+    * Adds the vertices whose value changed to `updated`.
+    */
+  private def applyReceivers(prog: VertexProgram, values: Array[Double], stable: Array[Int],
+                             msgs: Messages, updated: BitSet): Unit = {
+    var k = 0
+    while (k < msgs.receivers) {
+      val i = msgs.receiver(k)
+      val cand = prog.applyFn(msgs.agg(i), values(i))
+      if (prog.improves(cand, values(i))) { updated.set(i); values(i) = cand; stable(i) = 0 }
+      else stable(i) += 1
+      k += 1
+    }
+  }
+
+  /** Applies the messages of an arithmetic pull in place to the
+    * destinations `dsts` (None: all), each of which takes its candidate,
+    * with the program's no-message aggregate if none arrived. Adds the
+    * vertices whose value changed by more than eps to `updated`.
     */
   private def applyAll(prog: VertexProgram, values: Array[Double], stable: Array[Int],
-                       msgs: Messages, dsts: Option[BitSet]): BitSet = {
+                       msgs: Messages, dsts: Option[BitSet], updated: BitSet): Unit = {
     val n = values.length
-    val updated = new BitSet(n)
     val d = dsts.orNull
     var i = if (d == null) 0 else d.nextSetBit(0)
     while (i >= 0 && i < n) {
-      val got = msgs.received(i)
-      if (got || prog.arith) {
-        val cand = prog.applyFn(if (got) msgs.agg(i) else prog.noMsgAgg, values(i))
-        if (prog.improves(cand, values(i))) { updated.set(i); values(i) = cand; stable(i) = 0 }
-        else { if (prog.arith) values(i) = cand; stable(i) += 1 }
-      }
+      val cand = prog.applyFn(if (msgs.received(i)) msgs.agg(i) else prog.noMsgAgg, values(i))
+      if (prog.improves(cand, values(i))) { updated.set(i); stable(i) = 0 }
+      else stable(i) += 1
+      values(i) = cand
       i = if (d == null) i + 1 else d.nextSetBit(i + 1)
     }
-    updated
   }
 
-  private def indexSet(n: Int)(p: Int => Boolean): BitSet = {
-    val b = new BitSet(n)
-    for (i <- 0 until n if p(i)) b.set(i)
-    b
+  /** Drops from `unfrozen` the vertices whose stable streak reached their
+    * `lastIter` (at least 1): finish-early's early-converged vertices.
+    */
+  private def freeze(unfrozen: BitSet, stable: Array[Int], lastIter: Array[Int]): Unit = {
+    var i = unfrozen.nextSetBit(0)
+    while (i >= 0) {
+      if (stable(i) >= math.max(lastIter(i), 1)) unfrozen.clear(i)
+      i = unfrozen.nextSetBit(i + 1)
+    }
+  }
+
+  /** Vertex indices ordered by `key` in `0..maxKey` (a stable counting
+    * sort), and where each key's run starts: key k's indices are
+    * `from(k) until from(k + 1)`.
+    */
+  private def bucketsOf(key: Array[Int], maxKey: Int): (Array[Int], Array[Int]) = {
+    val from = new Array[Int](maxKey + 2)
+    for (k <- key) from(k + 1) += 1
+    for (k <- 1 until from.length) from(k) += from(k - 1)
+    val next = from.clone()
+    val order = new Array[Int](key.length)
+    for (i <- key.indices) { order(next(key(i))) = i; next(key(i)) += 1 }
+    (order, from)
+  }
+
+  /** The members of `vs`, ascending. */
+  private def members(vs: BitSet): Array[Int] = {
+    val out = new Array[Int](vs.cardinality)
+    var k = 0
+    var i = vs.nextSetBit(0)
+    while (i >= 0) { out(k) = i; k += 1; i = vs.nextSetBit(i + 1) }
+    out
   }
 
   /** Out-edges of the vertices in `vs`. */
-  private def outEdges(l: EdgeLayout, vs: BitSet): Long =
-    vs.stream.mapToLong(l.outDeg(_).toLong).sum
+  private def outEdges(l: EdgeLayout, vs: BitSet): Long = {
+    var sum = 0L
+    var i = vs.nextSetBit(0)
+    while (i >= 0) { sum += l.outDeg(i); i = vs.nextSetBit(i + 1) }
+    sum
+  }
 
-  /** Out-neighbours of the vertices in `vs`. */
-  private def outNbrs(l: EdgeLayout, vs: BitSet): BitSet = {
-    val b = new BitSet(l.numVertices)
-    vs.stream.forEach(i => for (e <- l.adjOff(i) until l.adjOff(i + 1)) b.set(l.adjDst(e)))
-    b
+  /** Adds the out-neighbours of the vertices in `vs` to `into`. */
+  private def outNbrs(l: EdgeLayout, vs: BitSet, into: BitSet): Unit = {
+    var i = vs.nextSetBit(0)
+    while (i >= 0) {
+      var e = l.adjOff(i)
+      while (e < l.adjOff(i + 1)) { into.set(l.adjDst(e)); e += 1 }
+      i = vs.nextSetBit(i + 1)
+    }
   }
 }

@@ -5,7 +5,9 @@ package repro.core
   * `edgeComputations` counts edges fed through an aggregation this iteration
   * (the paper's "number of computations", Fig. 9); for the PowerG baseline
   * it also includes its modelled change-blind scatter. `updates` counts
-  * vertex property writes that changed the value (paper Table 2).
+  * vertex property writes that changed the value (paper Table 2). `nanos`
+  * is the iteration's wall time and `edgeNanos` the part of it spent in the
+  * edge pass ([[EdgeOps]]); the rest is the driver's own work.
   */
 final case class IterationStat(
     iter: Int,
@@ -13,7 +15,8 @@ final case class IterationStat(
     computedVertices: Long,
     edgeComputations: Long,
     updates: Long,
-    millis: Long,
+    nanos: Long,
+    edgeNanos: Long,
 )
 
 /** The outcome of one (system, app, graph) execution. The engines return
@@ -26,7 +29,7 @@ final case class RunResult(
     graph: String,
     values: Map[Long, Double],
     stats: Seq[IterationStat],
-    wallMillis: Long,
+    wallNanos: Long,
 ) {
   def iterations: Int = stats.size
   def totalComputations: Long = stats.iterator.map(_.edgeComputations).sum
@@ -40,5 +43,5 @@ final case class RunResult(
     */
   def computationsPerVertex(numVertices: Long): Double =
     if (numVertices == 0) 0.0 else totalVertexComputations.toDouble / numVertices
-  def seconds: Double = wallMillis / 1000.0
+  def seconds: Double = wallNanos / 1e9
 }

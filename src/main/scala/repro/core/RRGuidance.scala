@@ -41,7 +41,10 @@ final class RRGuidance private (
     require(l.numEdges == numEdges && java.util.Arrays.equals(l.ids, ids),
       s"the guidance was generated on $graph (${ids.length} vertices, $numEdges edges) and cannot " +
         s"guide a run on $name (${l.numVertices} vertices, ${l.numEdges} edges)")
-    lastIters.map(li => if (li > 0) li else maxLevel + 1)
+    val out = new Array[Int](lastIters.length)
+    var i = 0
+    while (i < out.length) { out(i) = if (lastIters(i) > 0) lastIters(i) else maxLevel + 1; i += 1 }
+    out
   }
 }
 
@@ -58,9 +61,10 @@ object RRGuidance {
   /** Run Alg. 1: each BFS frontier is expanded by one push over the edge
     * blocks ([[EdgeOps.push]]); the per-vertex `level`/`lastIter`
     * bookkeeping lives on the driver (same layering as the execution
-    * engine). Each reachable vertex enters the frontier exactly once, so
-    * total edge work is one pass over the edges reachable from the roots —
-    * the paper's "extremely low overhead".
+    * engine) and walks only the vertices the push reached. Each reachable
+    * vertex enters the frontier exactly once, so total edge work is one pass
+    * over the edges reachable from the roots — the paper's "extremely low
+    * overhead".
     */
   def generate(g: PropertyGraph, roots: Set[Long]): RRGuidance = {
     val t0 = System.nanoTime()
@@ -75,22 +79,22 @@ object RRGuidance {
     }.sorted
     frontier.foreach(level(_) = 0)
     val zeros = new Array[Double](n)
+    val touched = new Messages(n)
     var iter = 1
     var comps = 0L
     while (frontier.nonEmpty) {
       // All edges out of the frontier: their count is the edge work of this
       // level, the vertices they reach are the touched ones.
-      val touched = EdgeOps.push(g, Expand, zeros, frontier)
+      EdgeOps.push(g, Expand, zeros, frontier, touched)
       comps += touched.edges
-      val newly = new Array[Int](n)
+      val newly = new Array[Int](touched.receivers)
       var k = 0
-      var i = 0
-      while (i < n) {
-        if (touched.received(i)) {
-          last(i) = iter // iter only grows
-          if (level(i) < 0) { level(i) = iter; newly(k) = i; k += 1 }
-        }
-        i += 1
+      var r = 0
+      while (r < touched.receivers) {
+        val i = touched.receiver(r)
+        last(i) = iter // iter only grows
+        if (level(i) < 0) { level(i) = iter; newly(k) = i; k += 1 }
+        r += 1
       }
       frontier = java.util.Arrays.copyOf(newly, k)
       iter += 1

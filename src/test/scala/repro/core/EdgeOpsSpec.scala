@@ -167,9 +167,69 @@ class EdgeOpsKernelSpec extends SparkSpec {
         .map(_.get)
       sequential.zip(concurrent).foreach { case (a, b) =>
         assert(a.values == b.values, s"${a.app} on ${a.graph}")
-        assert(a.stats.map(_.copy(millis = 0)) == b.stats.map(_.copy(millis = 0)), s"${a.app} on ${a.graph}")
+        def counts(r: RunResult) = r.stats.map(_.copy(nanos = 0, edgeNanos = 0))
+        assert(counts(a) == counts(b), s"${a.app} on ${a.graph}")
       }
     } finally pool.shutdown()
+  }
+
+  test("a buffer reused across pulls and pushes equals a fresh call; its receivers are the vertices with messages") {
+    import java.util.BitSet
+    val rnd = new scala.util.Random(9)
+    val gs = Seq(PropertyGraph(spark, "rmat", chunks = 4)(GraphGen.rmatEdges(8, 1200, 47)),
+      PropertyGraph(spark, "uniform", chunks = 3)(GraphGen.uniformEdges(150, 600, 48)))
+    for (g <- gs) {
+      val n = g.numVertices.toInt
+      val buf = new Messages(n)
+      def subset(): BitSet = {
+        val p = if (rnd.nextInt(6) == 0) 0.0 else rnd.nextDouble() // empty to full frontiers
+        val b = new BitSet(n)
+        for (i <- 0 until n if rnd.nextDouble() < p) b.set(i)
+        b
+      }
+      for (prog <- Seq(Apps.sssp(g.vertexIds(0)), Apps.wp(g.vertexIds(0)), Apps.pagerank()); step <- 1 to 20) {
+        val clue = s"${g.name} ${prog.name} step $step"
+        val values = Array.fill(n)(rnd.nextInt(20).toDouble * rnd.nextDouble())
+        val (reused, fresh) = rnd.nextInt(3) match {
+          case 0 =>
+            val srcs = subset().stream.toArray
+            (EdgeOps.push(g, prog, values, srcs, buf), EdgeOps.push(g, prog, values, srcs))
+          case 1 =>
+            val dsts = Some(subset())
+            (EdgeOps.pull(g, prog, values, dsts, into = buf), EdgeOps.pull(g, prog, values, dsts))
+          case _ =>
+            val (dsts, srcs) = (Some(subset()), Some(subset()))
+            (EdgeOps.pull(g, prog, values, dsts, srcs, buf), EdgeOps.pull(g, prog, values, dsts, srcs))
+        }
+        assert(reused eq buf, clue)
+        assert(reused.count.sameElements(fresh.count), clue)
+        for (i <- 0 until n if fresh.received(i)) assert(reused.agg(i) == fresh.agg(i), s"$clue at $i")
+        assert(reused.edges == fresh.edges && reused.edges == fresh.count.map(_.toLong).sum, clue)
+        for (m <- Seq(reused, fresh))
+          assert((0 until m.receivers).map(m.receiver).sorted == (0 until n).filter(m.count(_) > 0), clue)
+      }
+    }
+  }
+
+  test("a message failing in one chunk or in every chunk fails the call with its own exception") {
+    import java.util.BitSet
+    val g = PropertyGraph(spark, chunks = 4)(GraphGen.rmatEdges(7, 300, 49))
+    val l = g.layout
+    val n = l.numVertices
+    assert(l.blocks.forall(_.numEdges > 0))
+    val values = g.vertexIds.map(_.toDouble)
+    val want = EdgeOps.pull(g, Apps.cc, values, None)
+    val buf = new Messages(n)
+    val oneChunk = new BitSet(n)
+    oneChunk.set(l.chunkStarts(1), l.chunkStarts(2))
+    for ((where, dsts) <- Seq("one chunk" -> Some(oneChunk), "every chunk" -> None)) {
+      val bad = Apps.cc.copy(msg = (_, _, _) => throw new IllegalStateException(s"fails in $where"))
+      val e = intercept[IllegalStateException](EdgeOps.pull(g, bad, values, dsts, into = buf))
+      assert(e.getMessage == s"fails in $where")
+      // The pool, and the buffer the failed call wrote into, serve the next call.
+      val next = EdgeOps.pull(g, Apps.cc, values, None, into = buf)
+      assert(next.count.sameElements(want.count) && next.edges == g.numEdges, where)
+    }
   }
 
   test("a source out-degree that disagrees with the graph fails loudly") {

@@ -85,18 +85,20 @@ class EngineEdgeCasesSpec extends SparkSpec {
   test("metrics: wall time and per-iteration millis are populated") {
     val g = figure1(spark)
     val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None)
-    assert(r.wallMillis >= r.stats.map(_.millis).sum / 2) // sanity, not exact
-    assert(r.stats.forall(_.millis >= 0))
+    assert(r.stats.nonEmpty && r.stats.forall(s => s.edgeNanos > 0 && s.edgeNanos <= s.nanos))
+    assert(r.wallNanos >= r.stats.map(_.nanos).sum)
+    assert(r.seconds == r.wallNanos / 1e9)
   }
 
   test("RunResult aggregate helpers") {
     val stats = Seq(
-      IterationStat(1, "pull", 10, 100, 5, 1),
-      IterationStat(2, "push", 4, 40, 2, 1))
-    val r = RunResult("S", "A", "G", Map(1L -> 0.0), stats, 2)
+      IterationStat(1, "pull", 10, 100, 5, 1000, 500),
+      IterationStat(2, "push", 4, 40, 2, 1000, 500))
+    val r = RunResult("S", "A", "G", Map(1L -> 0.0), stats, 2500000L)
     assert(r.totalComputations == 140 && r.totalUpdates == 7)
     assert(r.totalVertexComputations == 14)
     assert(r.computationsPerVertex(7) == 2.0)
     assert(r.updatesPerVertex(7) == 1.0)
+    assert(r.seconds == 0.0025)
   }
 }

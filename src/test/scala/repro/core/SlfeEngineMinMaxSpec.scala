@@ -185,4 +185,18 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
       SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None, maxIters = 1)
     }
   }
+
+  test("start late: SLFE pull iteration k computes exactly the vertices the guidance puts at lastIter k") {
+    val g = PropertyGraph(spark, chunks = 3)(GraphGen.rmatEdges(8, 1200, 24))
+    val sym = g.symmetrize
+    val root = g.maxOutDegVertex
+    for ((graph, prog, r) <- Seq((g, Apps.sssp(root, unitWeight = true), root), (g, Apps.wp(root), root),
+                                 (sym, Apps.cc, sym.vertexIds(0)))) {
+      val rrg = RRGuidance.generate(graph, Set(r))
+      val perIter = graph.vertexIds.groupBy(rrg.lastIterOf).map { case (k, vs) => k -> vs.length.toLong }
+      val pulls = SlfeEngine.edgeProcMinMax(graph, prog, Some(rrg)).stats.filter(_.mode == "pull")
+      assert(pulls.nonEmpty, prog.name)
+      pulls.foreach(s => assert(s.computedVertices == perIter.getOrElse(s.iter, 0L), s"${prog.name} iteration ${s.iter}"))
+    }
+  }
 }
