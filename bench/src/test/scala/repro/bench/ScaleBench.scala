@@ -23,7 +23,6 @@ class ScaleBench extends BenchBase {
   test("Scale sweep: RMAT R15 to R19") {
     val warm = Harness.prepare(spark, spec(15))
     for (app <- apps; system <- systems) Harness.run(warm, system, app)
-    warm.g.unpersist(); warm.sym.unpersist()
 
     emit("== Scale sweep: wall ms / millions of edge computations / iterations ==")
     for (scale <- 15 to 19) {
@@ -37,7 +36,6 @@ class ScaleBench extends BenchBase {
           f"$s=${ms(s)}%8.1fms/${comps(s) / 1e6}%7.3fM/${runs(s).head.iterations}%3dit").mkString(" ") +
           f"  SLFE/Gemini time=${ms("SLFE") / ms("Gemini")}%5.2f comps=${comps("SLFE") / comps("Gemini")}%5.2f")
       }
-      p.g.unpersist(); p.sym.unpersist()
     }
   }
 }

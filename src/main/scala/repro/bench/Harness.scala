@@ -36,10 +36,10 @@ object Harness {
   def prepare(spark: SparkSession, spec: GraphGen.GraphSpec): Prepared = {
     // Both graphs are generated, symmetrized and laid out in driver memory,
     // so set-up starts no Spark job and pays for the engines' edge blocks.
-    // Each graph keeps only its layout; oracles that read `edges` get the
-    // deterministic edge list computed again.
+    // Each graph keeps only its layout; oracles that read `edges` get a view
+    // of its edge list.
     val g = GraphGen.build(spark, spec)
-    val sym = g.symmetrize.cached()
+    val sym = g.symmetrize
     val root = g.maxOutDegVertex
     // One guidance per traversal graph, generated once and reused by every
     // application on it (the paper's reuse story, §4.4 footnote 4).
@@ -85,7 +85,6 @@ object Harness {
       val avg = g.numEdges.toDouble / g.numVertices
       out(f"${spec.name}%-6s ${spec.paperVertices}%10d ${spec.paperEdges}%10d ${spec.divisor}%6d " +
         f"${g.numVertices}%8d ${g.numEdges}%9d ${avg}%7.1f  ${spec.kind}")
-      g.unpersist()
     }
   }
 
@@ -105,7 +104,6 @@ object Harness {
       }
       out(f"$system%-10s " + row.mkString(" "))
     }
-    prepared.foreach(p => { p.g.unpersist(); p.sym.unpersist() })
   }
 
   /** Table 5: all systems x apps x graphs. Primary metric: edge
@@ -139,7 +137,6 @@ object Harness {
           f"${c.system}=${metric(c) / 1e6}%8.4fM(${c.seconds * 1e3}%8.2fms,${c.iters}%3dit)").mkString(" ") +
           f"  speedup vs PowerG=${supG}%6.2fx vs PowerL=${supL}%6.2fx")
       }
-      p.g.unpersist(); p.sym.unpersist()
     }
     def geomean(xs: Seq[Double]): Double = math.exp(xs.map(math.log).sum / xs.size)
     out(f"GEOMEAN speedup (computations): vs PowerG=${geomean(speedupsG.toSeq)}%.2fx " +
@@ -163,7 +160,6 @@ object Harness {
       val amortized = (p.rrgDir.edgeComputations / 8.7 + slfe.totalComputations) / gemC
       out(f"${spec.name}%-6s ${p.rrgDir.edgeComputations}%10d ${p.rrgDir.wallMillis}%7d " +
         f"${gem.totalComputations}%12d ${slfe.totalComputations}%10d ${endToEnd}%8.2f ${amortized}%10.2f")
-      p.g.unpersist(); p.sym.unpersist()
     }
   }
 
@@ -192,7 +188,6 @@ object Harness {
       out(f"${spec.name}%-6s staticImb=${static.imbalance}%5.2f stealImb=${steal.imbalance}%5.2f " +
         f"steals=${steal.steals}%4d chunkImb=${chunkImb}%5.2f " +
         f"rf(PowerG)=${rfG}%5.2f rf(PowerL)=${rfL}%5.2f")
-      p.g.unpersist(); p.sym.unpersist()
     }
   }
 }

@@ -170,18 +170,18 @@ private[repro] object EdgeOps {
       into
     }
 
-  /** Pull: each destination in `dsts` (None: all) gathers over its in-edges
-    * from the sources in `srcs` (None: all), reading source values from the
-    * dense `values`. The result goes to `into`, cleared first, if given.
+  /** Pull: each destination in `dsts` (None: all) gathers over all its
+    * in-edges, reading source values from the dense `values`. The result
+    * goes to `into`, cleared first, if given.
     */
   def pull(g: PropertyGraph, prog: VertexProgram, values: Array[Double],
-           dsts: Option[BitSet], srcs: Option[BitSet] = None, into: Messages = null): Messages = {
+           dsts: Option[BitSet], into: Messages = null): Messages = {
     val l = g.layout
     require(values.length == l.numVertices)
     val m = buffer(l, into)
-    if (dsts.exists(_.isEmpty) || srcs.exists(_.isEmpty)) return none(m)
-    val (msg, agg, d, s) = (prog.msg, prog.agg, dsts.orNull, srcs.orNull)
-    perChunk(g, l, m)(pullBlock(_, _, _, msg, agg, values, d, s, m))
+    if (dsts.exists(_.isEmpty)) return none(m)
+    val (msg, agg, d) = (prog.msg, prog.agg, dsts.orNull)
+    perChunk(g, l, m)(pullBlock(_, _, _, msg, agg, values, d, m))
   }
 
   /** Push: the sources `srcs` (dense indices) send their value in `values`
@@ -225,11 +225,12 @@ private[repro] object EdgeOps {
       ids.iterator.map(l.indexOf).filter(_ >= 0).foreach(b.set)
       b
     }
-    val allSrcs = srcSet.cardinality == n
-    val m =
-      if (dsts.isEmpty && !allSrcs) push(g, prog, values, srcSet.stream.toArray)
-      else pull(g, prog, values, dstSet, if (allSrcs) None else Some(srcSet))
-    new VertexMap(l.ids, i => (m.agg(i), m.count(i).toLong), m.received)
+    // Every source: pull the destinations. Some sources: push from them, then
+    // keep the destinations asked for.
+    val (m, keep) =
+      if (srcSet.cardinality == n) (pull(g, prog, values, dstSet), None)
+      else (push(g, prog, values, srcSet.stream.toArray), dstSet)
+    new VertexMap(l.ids, i => (m.agg(i), m.count(i).toLong), i => m.received(i) && keep.forall(_.get(i)))
   }
 
   /** Every vertex's initial state for a program over a graph, with RRG
@@ -247,7 +248,7 @@ private[repro] object EdgeOps {
   private def none(m: Messages): Messages = { m.clear(); m }
 
   private def pullBlock(b: EdgeBlock, ends: Array[Int], c: Int, msg: Message, agg: AggKind,
-                        values: Array[Double], dsts: BitSet, srcs: BitSet, m: Messages): Long = {
+                        values: Array[Double], dsts: BitSet, m: Messages): Long = {
     val (acc, cnt, recv) = (m.agg, m.count, m.recv)
     var k = b.lo
     var edges = 0L
@@ -255,15 +256,12 @@ private[repro] object EdgeOps {
     while (d >= 0 && d < b.hi) {
       val j = d - b.lo
       var a = agg.zero
-      var n = 0
       var e = b.inOff(j)
       val end = b.inOff(j + 1)
+      val n = end - e
       while (e < end) {
         val s = b.inSrc(e)
-        if (srcs == null || srcs.get(s)) {
-          a = agg.combine(a, msg(values(s), b.inW(e), b.outDeg(s)))
-          n += 1
-        }
+        a = agg.combine(a, msg(values(s), b.inW(e), b.outDeg(s)))
         e += 1
       }
       if (n > 0) {

@@ -94,7 +94,7 @@ object Engine {
     var maxLastIter = 0 // beyond it an SLFE min/max run only pushes
     i = 0
     while (i < n) { maxLastIter = math.max(maxLastIter, lastIter(i)); i += 1 }
-    val stable = new Array[Int](n) // unchanged applies in a row
+    val stable = new Array[Int](n) // unchanged arithmetic applies in a row
     // Start-late's schedule: the vertices with lastIter k are
     // byLastIter(from(k) until from(k + 1)).
     val (byLastIter, from) = bucketsOf(lastIter, maxLastIter)
@@ -144,7 +144,7 @@ object Engine {
       if (!push && computed < n) needsVerify = true
       active.clear()
       if (prog.arith) applyAll(prog, values, stable, msgs, dsts, active)
-      else applyReceivers(prog, values, stable, msgs, active)
+      else applyReceivers(prog, values, msgs, active)
       if (finishEarly) freeze(unfrozen, stable, lastIter)
       val updates = active.cardinality.toLong
       val scatter = schedule match {
@@ -179,14 +179,13 @@ object Engine {
     * receivers: a vertex keeps its value unless its aggregate improves it.
     * Adds the vertices whose value changed to `updated`.
     */
-  private def applyReceivers(prog: VertexProgram, values: Array[Double], stable: Array[Int],
-                             msgs: Messages, updated: BitSet): Unit = {
+  private def applyReceivers(prog: VertexProgram, values: Array[Double], msgs: Messages,
+                             updated: BitSet): Unit = {
     var k = 0
     while (k < msgs.receivers) {
       val i = msgs.receiver(k)
       val cand = prog.applyFn(msgs.agg(i), values(i))
-      if (prog.improves(cand, values(i))) { updated.set(i); values(i) = cand; stable(i) = 0 }
-      else stable(i) += 1
+      if (prog.improves(cand, values(i))) { updated.set(i); values(i) = cand }
       k += 1
     }
   }

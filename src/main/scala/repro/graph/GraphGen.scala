@@ -170,5 +170,5 @@ object GraphGen {
     * generated in driver memory, so no Spark job runs.
     */
   def build(spark: SparkSession, spec: GraphSpec, partitions: Int = 8): PropertyGraph =
-    PropertyGraph(spark, spec.name, partitions)(rmatEdges(spec.scale, spec.targetEdges, spec.seed)).cached()
+    PropertyGraph(spark, spec.name, partitions)(rmatEdges(spec.scale, spec.targetEdges, spec.seed))
 }

@@ -10,6 +10,5 @@ class HarnessSpec extends SparkSpec {
     val (p, jobs) = TestUtil.sparkJobs(spark)(Harness.prepare(spark, spec))
     assert(jobs == 0)
     assert(p.g.numEdges > 0 && p.sym.numEdges > p.g.numEdges && p.rrgSym.maxLevel > 0)
-    p.g.unpersist(); p.sym.unpersist()
   }
 }

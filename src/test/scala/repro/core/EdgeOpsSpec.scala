@@ -102,8 +102,8 @@ class EdgeOpsKernelSpec extends SparkSpec {
   test("aggregate matches a brute-force fold on random graphs; push and pull agree") {
     val rnd = new scala.util.Random(5)
     val gs = Seq(
-      PropertyGraph(spark, "rmat", chunks = 1)(GraphGen.rmatEdges(7, 500, 41)).cached(),
-      PropertyGraph(spark, "uniform", chunks = 1)(GraphGen.uniformEdges(80, 300, 42)).cached())
+      PropertyGraph(spark, "rmat", chunks = 1)(GraphGen.rmatEdges(7, 500, 41)),
+      PropertyGraph(spark, "uniform", chunks = 1)(GraphGen.uniformEdges(80, 300, 42)))
     for (g <- gs) {
       val edges = collectEdges(g)
       val ids = g.vertexIds.toSeq
@@ -119,20 +119,21 @@ class EdgeOpsKernelSpec extends SparkSpec {
         for ((srcs, ds) <- Seq((all, None), (all, Some(dsts)), (part, None), (part, Some(dsts))))
           assertSame(EdgeOps.aggregate(g, prog, srcs, ds), bruteForce(edges, prog, srcs, ds), prog,
             s"$clue srcs=${srcs.size} dsts=${ds.map(_.size)}")
-        // The same partial source set by push (all destinations implied) and by pull.
-        assertSame(EdgeOps.aggregate(g, prog, part, None), EdgeOps.aggregate(g, prog, part, Some(ids)),
-          prog, s"$clue push vs pull")
+        // Every source, by push and by pull.
+        val dense = ids.map(values).toArray
+        val (push, pull) = (EdgeOps.push(g, prog, dense, ids.indices.toArray), EdgeOps.pull(g, prog, dense, None))
+        def agg(m: Messages): Agg =
+          ids.indices.filter(m.received).map(i => ids(i) -> (m.agg(i), m.count(i).toLong)).toMap
+        assertSame(agg(push), agg(pull), prog, s"$clue push vs pull")
       }
-      g.unpersist()
     }
   }
 
   test("an aggregate call starts no Spark job") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 43)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 43))
     val srcs = g.vertexIds.toSeq.map(v => (v, 1.0, g.outDeg(v)))
     for (dsts <- Seq(None, Some(g.vertexIds.toSeq.take(10))))
       assert(sparkJobs(spark)(EdgeOps.aggregate(g, Apps.pagerank(), srcs, dsts))._2 == 0, dsts.isDefined)
-    g.unpersist()
   }
 
   test("a failing message fails the call with its type") {
@@ -190,17 +191,14 @@ class EdgeOpsKernelSpec extends SparkSpec {
       for (prog <- Seq(Apps.sssp(g.vertexIds(0)), Apps.wp(g.vertexIds(0)), Apps.pagerank()); step <- 1 to 20) {
         val clue = s"${g.name} ${prog.name} step $step"
         val values = Array.fill(n)(rnd.nextInt(20).toDouble * rnd.nextDouble())
-        val (reused, fresh) = rnd.nextInt(3) match {
-          case 0 =>
+        val (reused, fresh) =
+          if (rnd.nextBoolean()) {
             val srcs = subset().stream.toArray
             (EdgeOps.push(g, prog, values, srcs, buf), EdgeOps.push(g, prog, values, srcs))
-          case 1 =>
+          } else {
             val dsts = Some(subset())
             (EdgeOps.pull(g, prog, values, dsts, into = buf), EdgeOps.pull(g, prog, values, dsts))
-          case _ =>
-            val (dsts, srcs) = (Some(subset()), Some(subset()))
-            (EdgeOps.pull(g, prog, values, dsts, srcs, buf), EdgeOps.pull(g, prog, values, dsts, srcs))
-        }
+          }
         assert(reused eq buf, clue)
         assert(reused.count.sameElements(fresh.count), clue)
         for (i <- 0 until n if fresh.received(i)) assert(reused.agg(i) == fresh.agg(i), s"$clue at $i")

@@ -9,23 +9,21 @@ class EngineEdgeCasesSpec extends SparkSpec {
   import TestUtil._
 
   test("SSSP with unit weights equals BFS hop distance") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 201)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 201))
     val root = g.maxOutDegVertex
     val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), None)
     val (level, _) = Reference.bfsGuidance(collectEdges(g), Set(root))
     level.foreach { case (v, l) => assert(r.values(v) == l.toDouble, s"vertex $v") }
     r.values.filter(_._2 < 1e17).keys.foreach(v => assert(level.contains(v) || v == root))
-    g.unpersist()
   }
 
   test("unit-weight SSSP with RR equals BFS hop distance too") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 202)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 202))
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
     val noRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), None)
     val withRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), Some(rrg))
     assert(noRR.values == withRR.values)
-    g.unpersist()
   }
 
   test("single-edge graph converges in both engines") {

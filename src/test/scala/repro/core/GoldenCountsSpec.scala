@@ -66,14 +66,12 @@ class GoldenCountsSpec extends SparkSpec {
   test("every engine reproduces its golden counts on every app") {
     val got = graphs.flatMap { spec =>
       val p = Harness.prepare(spark, spec)
-      val cells = for (app <- Seq("SSSP", "CC", "WP", "PR", "TR"); system <- Seq("PowerG", "PowerL", "Gemini", "SLFE"))
+      for (app <- Seq("SSSP", "CC", "WP", "PR", "TR"); system <- Seq("PowerG", "PowerL", "Gemini", "SLFE"))
         yield {
           val r = Harness.run(p, system, app)
           (spec.name, app, system) ->
             (r.iterations, r.totalComputations, r.totalVertexComputations, r.totalUpdates)
         }
-      p.g.unpersist(); p.sym.unpersist()
-      cells
     }
     assert(got.map(_._1).toSet == golden.keySet)
     val diff = got.filterNot { case (k, v) => golden(k) == v }

@@ -52,21 +52,19 @@ class RRGuidanceSpec extends SparkSpec {
 
   test("matches the reference on random RMAT graphs") {
     for (seed <- Seq(1L, 2L, 3L)) {
-      val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, seed)).cached()
+      val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, seed))
       val root = g.maxOutDegVertex
       val r = RRGuidance.generate(g, Set(root))
       val (level, last) = Reference.bfsGuidance(collectEdges(g), Set(root))
       assert(r.level == level, s"seed=$seed levels differ")
       assert(r.lastIter == last, s"seed=$seed lastIter differ")
-      g.unpersist()
     }
   }
 
   test("lastIter >= level for every reached non-root") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 250, 9)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 250, 9))
     val r = RRGuidance.generate(g, Set(g.maxOutDegVertex))
     assert(r.lastIter.forall { case (v, li) => li >= r.level(v) })
-    g.unpersist()
   }
 
   test("edge work is one pass over edges reachable from the root set") {

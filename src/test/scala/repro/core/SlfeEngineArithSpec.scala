@@ -12,16 +12,15 @@ class SlfeEngineArithSpec extends SparkSpec {
   import TestUtil._
 
   test("PR without RR equals the reference power iteration exactly in shape") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 91)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 91))
     val iters = 10
     val expected = Reference.pagerank(collectEdges(g), iters)
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
-    g.unpersist()
   }
 
   test("PR with RR stays within tolerance of the full computation") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 92)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 92))
     val iters = 40
     val expected = Reference.pagerank(collectEdges(g), iters)
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
@@ -29,16 +28,14 @@ class SlfeEngineArithSpec extends SparkSpec {
     // EC vertices freeze once stable for lastIter rounds; by convergence the
     // frozen values agree with the exact fixpoint to ~eps precision.
     assert(maxAbsDiff(r.values, expected) < 1e-4)
-    g.unpersist()
   }
 
   test("PR matches the DuckDB iterated-CTE oracle (3 iterations, rounded)") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(15, 40, 93)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(15, 40, 93))
     val iters = 3
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
     val got = valuesDF(spark, r.values, "v").select(col("id"), round(col("v"), 4) as "rank")
     Oracle.assertEquivalent(got, prSql(iters), "edges" -> g.edges, "verts" -> g.vertices)
-    g.unpersist()
   }
 
   test("PR of a 2-cycle converges to the analytic fixpoint 1.0") {
@@ -57,26 +54,24 @@ class SlfeEngineArithSpec extends SparkSpec {
   }
 
   test("TR without RR equals the reference") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 94)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 94))
     val iters = 10
     val expected = Reference.tunkrank(collectEdges(g), iters)
     val r = SlfeEngine.edgeProcArith(g, Apps.tunkrank(), None, iters = iters)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
-    g.unpersist()
   }
 
   test("TR with RR stays within tolerance") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 95)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 95))
     val iters = 40
     val expected = Reference.tunkrank(collectEdges(g), iters)
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
     val r = SlfeEngine.edgeProcArith(g, Apps.tunkrank(), Some(rrg), iters = iters)
     assert(maxAbsDiff(r.values, expected) < 1e-4)
-    g.unpersist()
   }
 
   test("EC vertices reduce computed-vertex counts over the run (finish early)") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 400, 96)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 400, 96))
     val iters = 30
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
     val noRR = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
@@ -85,14 +80,12 @@ class SlfeEngineArithSpec extends SparkSpec {
       s"RR=${withRR.totalComputations} noRR=${noRR.totalComputations}")
     // Later iterations compute strictly fewer vertices than the first.
     assert(withRR.stats.last.computedVertices < withRR.stats.head.computedVertices)
-    g.unpersist()
   }
 
   test("without RR every iteration computes every vertex (the paper's redundancy)") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 60, 97)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 60, 97))
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 5)
     assert(r.stats.forall(_.computedVertices == g.numVertices))
-    g.unpersist()
   }
 
   test("earlyStop halts once no computed vertex changes") {
@@ -104,7 +97,7 @@ class SlfeEngineArithSpec extends SparkSpec {
   }
 
   test("per-iteration stats are internally consistent") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 50, 98)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 50, 98))
     val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 4)
     r.stats.foreach { s =>
       assert(s.updates <= s.computedVertices)
@@ -112,6 +105,5 @@ class SlfeEngineArithSpec extends SparkSpec {
       assert(s.mode == "pull") // arithmetic apps always pull (paper footnote 2)
     }
     assert(r.iterations == 4)
-    g.unpersist()
   }
 }

@@ -32,18 +32,17 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("SSSP matches Dijkstra on random RMAT graphs, with and without RR") {
     for (seed <- Seq(21L, 22L, 23L)) {
-      val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, seed)).cached()
+      val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, seed))
       val root = g.maxOutDegVertex
       val expected = Reference.sssp(collectEdges(g), root)
       val (noRR, withRR) = ssspBoth(g, root)
       assert(maxAbsDiff(noRR.values, expected) < 1e-9, s"seed=$seed noRR")
       assert(maxAbsDiff(withRR.values, expected) < 1e-9, s"seed=$seed withRR")
-      g.unpersist()
     }
   }
 
   test("SSSP final distances match the DuckDB recursive oracle") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 70, 31)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 70, 31))
     val root = g.maxOutDegVertex
     val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None)
     val reachable = r.values.filter(_._2 < 1e17)
@@ -51,11 +50,10 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
       valuesDF(spark, reachable, "dist"),
       ssspSql(root, bound = 25.0 * 10 + 1),
       "edges" -> g.edges)
-    g.unpersist()
   }
 
   test("SSSP with RR matches the DuckDB recursive oracle too") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 70, 32)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 70, 32))
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
     val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg))
@@ -63,20 +61,18 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
       valuesDF(spark, r.values.filter(_._2 < 1e17), "dist"),
       ssspSql(root, bound = 25.0 * 10 + 1),
       "edges" -> g.edges)
-    g.unpersist()
   }
 
   test("CC labels every vertex with its component minimum (vs union-find)") {
     for (seed <- Seq(41L, 42L)) {
       val base = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(30, 45, seed))
-      val g = base.symmetrize.cached()
+      val g = base.symmetrize
       val expected = Reference.components(collectEdges(base)).map { case (k, v) => k -> v.toDouble }
       val rrg = RRGuidance.generate(g, Set(g.vertexIds.min))
       val noRR = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
       val withRR = SlfeEngine.edgeProcMinMax(g, Apps.cc, Some(rrg))
       assert(maxAbsDiff(noRR.values, expected) == 0.0, s"seed=$seed noRR")
       assert(maxAbsDiff(withRR.values, expected) == 0.0, s"seed=$seed withRR")
-      g.unpersist()
     }
   }
 
@@ -92,7 +88,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("WP matches the reference widest path, with and without RR") {
     for (seed <- Seq(51L, 52L)) {
-      val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 180, seed)).cached()
+      val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 180, seed))
       val root = g.maxOutDegVertex
       val expected = Reference.widestPath(collectEdges(g), root)
       val rrg = RRGuidance.generate(g, Set(root))
@@ -100,28 +96,25 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
       val withRR = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), Some(rrg))
       assert(maxAbsDiff(noRR.values, expected) < 1e-9, s"seed=$seed noRR")
       assert(maxAbsDiff(withRR.values, expected) < 1e-9, s"seed=$seed withRR")
-      g.unpersist()
     }
   }
 
   test("WP matches the DuckDB max-min closure oracle") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 50, 61)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 50, 61))
     val root = g.maxOutDegVertex
     val r = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), None)
     Oracle.assertEquivalent(
       valuesDF(spark, r.values.filter(_._2 > 0.0), "width"),
       wpSql(root),
       "edges" -> g.edges)
-    g.unpersist()
   }
 
   test("RR and no-RR converge to identical values on many seeds (Theorem 1)") {
     for (seed <- 71L to 75L) {
-      val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 55, seed)).cached()
+      val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 55, seed))
       val root = g.maxOutDegVertex
       val (noRR, withRR) = ssspBoth(g, root)
       assert(noRR.values == withRR.values, s"seed=$seed")
-      g.unpersist()
     }
   }
 
@@ -159,7 +152,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("per-iteration computed vertices under RR never exceed the no-RR count") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 81)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 81))
     val root = g.maxOutDegVertex
     val (noRR, withRR) = ssspBoth(g, root)
     // Pull iterations without RR always compute every vertex; with RR the
@@ -168,15 +161,13 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
     val rrPull = withRR.stats.filter(_.mode == "pull").map(_.computedVertices)
     if (noRRPullMax.nonEmpty && rrPull.nonEmpty)
       assert(rrPull.max <= noRRPullMax.max)
-    g.unpersist()
   }
 
   test("updates-per-vertex is at least ~1 for reachable-heavy graphs (Table 2 metric)") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 82)).cached()
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 82))
     val (noRR, _) = ssspBoth(g, g.maxOutDegVertex)
     assert(noRR.updatesPerVertex(g.numVertices) > 0.0)
     assert(noRR.totalUpdates >= noRR.values.count(_._2 < 1e17) - 1) // every reached vertex updated >= once
-    g.unpersist()
   }
 
   test("engine fails loudly when maxIters is too small") {

@@ -37,43 +37,12 @@ class EdgeLayoutSpec extends SparkSpec {
     }
   }
 
-  test("a symmetrized graph never rebuilds a layout its source dropped") {
-    var computed = 0
-    val g = PropertyGraph(spark, "counted", chunks = 4) {
-      computed += 1
-      GraphGen.uniformEdges(30, 90, 37)
-    }
-    val fromLayout = g.symmetrize.cached().layout.edgeList
-    assert(computed == 1)
-    g.unpersist()
-    val sym = g.symmetrize.cached()
-    assert(computed == 2) // from g's source, not through g's layout
-    g.layout
-    assert(computed == 3) // so g's layout stayed dropped
-    val e = sym.layout.edgeList
-    val triples = (l: EdgeList) => l.src.indices.map(i => (l.src(i), l.dst(i), l.weight(i))).sorted
-    assert(triples(e) == triples(fromLayout) && sym.layout.numChunks == 4)
-  }
-
-  test("a built graph's edges view reads its layout back") {
-    var computed = 0
-    val g = PropertyGraph(spark, "counted", chunks = 4) {
-      computed += 1
-      GraphGen.uniformEdges(30, 90, 37)
-    }
-    val fromSource = collectEdges(g).sorted
-    assert(computed == 1)
-    g.layout
-    assert(computed == 2)
-    assert(collectEdges(g).sorted == fromSource && g.edges.rdd.getNumPartitions == 1)
-    assert(computed == 2) // the view did not compute the edges again
-  }
-
   test("laying out a test graph starts no Spark job") {
-    val graphs = Seq(graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 2.0)), chunks = 2),
-      PropertyGraph(spark, chunks = 3)(GraphGen.rmatEdges(7, 300, 38)), figure1(spark).symmetrize)
-    val (_, jobs) = sparkJobs(spark)(graphs.foreach(_.layout))
-    assert(jobs == 0)
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val (_, jobs) = sparkJobs(spark)(Seq(graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 2.0)), chunks = 2),
+      PropertyGraph(spark, chunks = 3)(GraphGen.rmatEdges(7, 300, 38)), figure1(spark).symmetrize))
+    assert(jobs == 0 && sc.getPersistentRDDs.keySet == before)
   }
 
   test("a literal graph gets exactly the chunk count it asks for") {
@@ -88,6 +57,7 @@ class EdgeLayoutSpec extends SparkSpec {
     graphs.foreach { g =>
       val e = g.layout.edgeList
       assert(e.src.indices.map(i => (e.src(i), e.dst(i), e.weight(i))).sorted == collectEdges(g).sorted, g.name)
+      assert(g.edges.rdd.getNumPartitions == 1, g.name)
     }
   }
 
@@ -138,23 +108,10 @@ class EdgeLayoutSpec extends SparkSpec {
 
   test("vertex ids outside (-2^53, 2^53) are rejected with a clear message") {
     for (bad <- Seq(1L << 53, Long.MaxValue, -(1L << 53))) {
-      val g = graph(spark, Seq((1L, bad, 1.0)), chunks = 1)
-      val e = intercept[IllegalArgumentException](g.layout)
+      val e = intercept[IllegalArgumentException](graph(spark, Seq((1L, bad, 1.0)), chunks = 1))
       assert(e.getMessage.contains(s"vertex id $bad") && e.getMessage.contains("2^53"), e.getMessage)
     }
     assert(graph(spark, Seq((0L, (1L << 53) - 1, 1.0)), chunks = 1).numVertices == 2)
-  }
-
-  test("the layout holds no RDD; unpersist rebuilds it") {
-    val sc = spark.sparkContext
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 40, 34))
-    val before = sc.getPersistentRDDs.keySet
-    val (l, m) = (g.layout, g.numEdges)
-    assert(sc.getPersistentRDDs.keySet == before)
-    g.unpersist()
-    assert(g.numEdges == m && !(g.layout eq l)) // a later use builds the layout again
-    assert(g.layout.blocks.map(_.numEdges).sum == m)
-    g.unpersist()
   }
 
   test("VertexMap is a read-only view with Map semantics") {

@@ -45,6 +45,5 @@ class GraphPropertiesSpec extends SparkSpec {
     val spec = GraphGen.datasets.head
     val g = GraphGen.build(spark, spec, partitions = 4)
     assert(g.layout.numChunks == 4 && g.symmetrize.layout.numChunks == 4)
-    g.unpersist()
   }
 }

@@ -52,7 +52,6 @@ class PropertyGraphSpec extends SparkSpec {
     val g = fig1
     val sql = "SELECT dst AS id, COUNT(*) AS deg FROM edges GROUP BY dst"
     Oracle.assertEquivalent(degrees(g.inDeg), sql, "edges" -> g.edges)
-    Oracle.assertEquivalent(g.inDegrees, sql, "edges" -> g.edges) // what the hybrid cut reads
   }
 
   test("maxOutDegVertex picks the hub, smallest id on ties") {
@@ -81,10 +80,11 @@ class PropertyGraphSpec extends SparkSpec {
     assert(g.symmetrize.vertexIds.toSeq == g.vertexIds.toSeq)
   }
 
-  test("cached() is idempotent and preserves counts") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 40, 1)).cached()
-    val n = g.numEdges
-    assert(g.cached().numEdges == n)
+  test("the lifecycle calls perfbench makes keep the graph as it is") {
+    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 40, 1))
+    val (l, n, m) = (g.layout, g.numVertices, g.numEdges)
+    assert(g.cached() eq g)
     g.unpersist()
+    assert((g.layout eq l) && g.numVertices == n && g.numEdges == m)
   }
 }
