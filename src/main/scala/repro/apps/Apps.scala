@@ -70,7 +70,6 @@ object Apps {
     applyFn = (m, _) => 0.15 + 0.85 * m,
     improves = (cand, old) => math.abs(cand - old) > eps,
     noMsgAgg = 0.0,
-    eps = eps,
   )
 
   /** TunkRank-style influence: t'(v) = sum over followers u->v of
@@ -84,7 +83,6 @@ object Apps {
     applyFn = (m, _) => m,
     improves = (cand, old) => math.abs(cand - old) > eps,
     noMsgAgg = 0.0,
-    eps = eps,
   )
 
   /** All five, keyed by the names used in the paper's tables. */

@@ -67,8 +67,7 @@ object Harness {
       case "TR"   => Apps.tunkrank(eps = ArithEps)
     }
     val (graph, rrg) = if (app == "CC") (p.sym, p.rrgSym) else (p.g, p.rrgDir)
-    if (prog.arith) Engine.run(graph, prog, schedule(system, rrg), ArithIters, earlyStop = true)
-    else Engine.run(graph, prog, schedule(system, rrg))
+    Engine.run(graph, prog, schedule(system, rrg), if (prog.arith) ArithIters else Engine.MaxIters)
   }
 
   def cell(p: Prepared, system: String, app: String): Cell = {

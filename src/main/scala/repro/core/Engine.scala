@@ -47,13 +47,17 @@ object Schedule {
   *   switch reactivates all vertices (Alg. 3 lines 2-4), and a run whose
   *   pulls skipped vertices ends only after an all-active push changes
   *   nothing (Theorem 1).
-  * - Arithmetic programs always pull (paper footnote 2), for at most
-  *   `maxIters` iterations or, with `earlyStop`, until no vertex changes.
-  *   A computed vertex always takes its candidate, so changes below eps
-  *   still accumulate. SLFE computes a vertex only while its stable streak
-  *   is below its `lastIter`, clamped to >= 1 so that pure sources apply
-  *   once ("finish early", `pullEdge_multiRuler` and Alg. 5's
-  *   `vertexUpdate`).
+  * - Arithmetic programs always pull (paper footnote 2), until an
+  *   iteration changes no vertex by more than the program's eps, or for at
+  *   most `maxIters` iterations. A computed vertex always takes its
+  *   candidate, so changes below eps still accumulate. SLFE computes a
+  *   vertex only while its stable streak is below its `lastIter`, clamped
+  *   to >= 1 so that pure sources apply once ("finish early",
+  *   `pullEdge_multiRuler` and Alg. 5's `vertexUpdate`).
+  *
+  * `run` with [[Schedule.Slfe]] is the paper's `edgeProc(pushFunc,
+  * pullFunc, activeVerts, Ruler)` API (Table 3): the program supplies the
+  * functions, and the guidance the rulers.
   *
   * The driver's share of an iteration follows its frontier, as in Ligra's
   * `VertexSubset` and Gemini's sparse mode: the messages land in one
@@ -68,13 +72,13 @@ object Engine {
     */
   val DenseFraction = 0.05
 
-  /** Iteration cap of a min/max run, which fails if it does not converge
-    * within it.
+  /** Default iteration cap: a min/max run fails if it does not converge
+    * within it, an arithmetic run stops there.
     */
   val MaxIters = 200
 
   def run(g: PropertyGraph, prog: VertexProgram, schedule: Schedule,
-          maxIters: Int = MaxIters, earlyStop: Boolean = false): RunResult = {
+          maxIters: Int = MaxIters): RunResult = {
     import Schedule._
     val t0 = System.nanoTime()
     val l = g.layout
@@ -94,13 +98,14 @@ object Engine {
     var maxLastIter = 0 // beyond it an SLFE min/max run only pushes
     i = 0
     while (i < n) { maxLastIter = math.max(maxLastIter, lastIter(i)); i += 1 }
-    val stable = new Array[Int](n) // unchanged arithmetic applies in a row
     // Start-late's schedule: the vertices with lastIter k are
     // byLastIter(from(k) until from(k + 1)).
     val (byLastIter, from) = bucketsOf(lastIter, maxLastIter)
     val scheduled = new BitSet(n)
     // Finish-early's vertices not yet frozen; freezing is permanent.
     val finishEarly = prog.arith && schedule.isInstanceOf[Slfe]
+    // Finish-early's ruler: unchanged applies in a row, per vertex.
+    val stable = new Array[Int](if (finishEarly) n else 0)
     val unfrozen = new BitSet(n)
     unfrozen.set(0, n)
     val signals = schedule == PowerL && !prog.arith
@@ -143,9 +148,9 @@ object Engine {
       val computed = if (push) msgs.receivers else dsts.fold(n)(_.cardinality)
       if (!push && computed < n) needsVerify = true
       active.clear()
-      if (prog.arith) applyAll(prog, values, stable, msgs, dsts, active)
+      if (prog.arith) applyAll(prog, values, msgs, dsts, active)
       else applyReceivers(prog, values, msgs, active)
-      if (finishEarly) freeze(unfrozen, stable, lastIter)
+      if (finishEarly) freeze(unfrozen, active, stable, lastIter)
       val updates = active.cardinality.toLong
       val scatter = schedule match {
         case PowerG => l.numEdges
@@ -161,7 +166,7 @@ object Engine {
       // Quiescence is exact (Theorem 1) unless a pull skipped vertices: then
       // an all-active push must change nothing first.
       done =
-        if (prog.arith) earlyStop && updates == 0
+        if (prog.arith) updates == 0
         else if (signals) signalled.isEmpty
         else updates == 0 && !needsVerify
       verifying = !prog.arith && updates == 0 && !done
@@ -195,26 +200,29 @@ object Engine {
     * with the program's no-message aggregate if none arrived. Adds the
     * vertices whose value changed by more than eps to `updated`.
     */
-  private def applyAll(prog: VertexProgram, values: Array[Double], stable: Array[Int],
-                       msgs: Messages, dsts: Option[BitSet], updated: BitSet): Unit = {
+  private def applyAll(prog: VertexProgram, values: Array[Double], msgs: Messages,
+                       dsts: Option[BitSet], updated: BitSet): Unit = {
     val n = values.length
     val d = dsts.orNull
     var i = if (d == null) 0 else d.nextSetBit(0)
     while (i >= 0 && i < n) {
       val cand = prog.applyFn(if (msgs.received(i)) msgs.agg(i) else prog.noMsgAgg, values(i))
-      if (prog.improves(cand, values(i))) { updated.set(i); stable(i) = 0 }
-      else stable(i) += 1
+      if (prog.improves(cand, values(i))) updated.set(i)
       values(i) = cand
       i = if (d == null) i + 1 else d.nextSetBit(i + 1)
     }
   }
 
-  /** Drops from `unfrozen` the vertices whose stable streak reached their
-    * `lastIter` (at least 1): finish-early's early-converged vertices.
+  /** Extends the stable streak of each vertex in `unfrozen`, the ones this
+    * iteration computed, or restarts it if the vertex is in `updated`; then
+    * drops the vertices whose streak reached their `lastIter` (at least 1):
+    * finish-early's early-converged vertices.
     */
-  private def freeze(unfrozen: BitSet, stable: Array[Int], lastIter: Array[Int]): Unit = {
+  private def freeze(unfrozen: BitSet, updated: BitSet, stable: Array[Int],
+                     lastIter: Array[Int]): Unit = {
     var i = unfrozen.nextSetBit(0)
     while (i >= 0) {
+      stable(i) = if (updated.get(i)) 0 else stable(i) + 1
       if (stable(i) >= math.max(lastIter(i), 1)) unfrozen.clear(i)
       i = unfrozen.nextSetBit(i + 1)
     }

@@ -50,7 +50,6 @@ trait Message {
   *                  (min/max: strict improvement; arith: |delta| > eps)
   * @param noMsgAgg  aggregate used when a computed vertex receives no
   *                  message (Sum identity 0; min/max apps skip instead)
-  * @param eps       stability epsilon for arithmetic apps
   */
 final case class VertexProgram(
     name: String,
@@ -62,5 +61,4 @@ final case class VertexProgram(
     applyFn: (Double, Double) => Double,
     improves: (Double, Double) => Boolean,
     noMsgAgg: Double,
-    eps: Double = 1e-9,
 )

@@ -22,10 +22,7 @@ object SparkSpec {
       // query's shuffles short.
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "8"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // Spark's INFO lines would drown the test results.
-    s.sparkContext.setLogLevel("WARN")
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).
     Console.err.println(

@@ -2,7 +2,7 @@ package repro.baseline
 
 import repro.{SparkSpec, TestUtil}
 import repro.apps.Apps
-import repro.core.{RRGuidance, SlfeEngine}
+import repro.core.{Engine, RRGuidance, Schedule}
 import repro.graph.{GraphGen, PropertyGraph, Reference}
 
 /** The PowerG/PowerL baseline simulators must agree with the references on
@@ -15,7 +15,7 @@ class GasEngineSpec extends SparkSpec {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 111))
     val root = g.maxOutDegVertex
     val expected = Reference.sssp(collectEdges(g), root)
-    val r = GasEngine.runMinMax(g, Apps.sssp(root), dense = true)
+    val r = Engine.run(g, Apps.sssp(root), Schedule.PowerG)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
 
@@ -23,15 +23,15 @@ class GasEngineSpec extends SparkSpec {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 112))
     val root = g.maxOutDegVertex
     val expected = Reference.sssp(collectEdges(g), root)
-    val r = GasEngine.runMinMax(g, Apps.sssp(root), dense = false)
+    val r = Engine.run(g, Apps.sssp(root), Schedule.PowerL)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
 
   test("dense and signaled GAS agree with the SLFE engine on CC") {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 45, 113)).symmetrize
-    val slfe = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
-    val dense = GasEngine.runMinMax(g, Apps.cc, dense = true)
-    val signaled = GasEngine.runMinMax(g, Apps.cc, dense = false)
+    val slfe = Engine.run(g, Apps.cc, Schedule.Gemini)
+    val dense = Engine.run(g, Apps.cc, Schedule.PowerG)
+    val signaled = Engine.run(g, Apps.cc, Schedule.PowerL)
     assert(dense.values == slfe.values)
     assert(signaled.values == slfe.values)
   }
@@ -40,28 +40,28 @@ class GasEngineSpec extends SparkSpec {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 55, 114))
     val root = g.maxOutDegVertex
     val expected = Reference.widestPath(collectEdges(g), root)
-    val r = GasEngine.runMinMax(g, Apps.wp(root), dense = true)
+    val r = Engine.run(g, Apps.wp(root), Schedule.PowerG)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
 
   test("dense GAS PR matches the reference power iteration") {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 120, 115))
     val expected = Reference.pagerank(collectEdges(g), 8)
-    val r = GasEngine.runArith(g, Apps.pagerank(), dense = true, iters = 8)
+    val r = Engine.run(g, Apps.pagerank(), Schedule.PowerG, maxIters = 8)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
 
   test("signaled GAS PR matches the reference power iteration") {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 120, 116))
     val expected = Reference.pagerank(collectEdges(g), 8)
-    val r = GasEngine.runArith(g, Apps.pagerank(), dense = false, iters = 8)
+    val r = Engine.run(g, Apps.pagerank(), Schedule.PowerL, maxIters = 8)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
 
   test("signaled GAS TR matches the reference") {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 120, 117))
     val expected = Reference.tunkrank(collectEdges(g), 6)
-    val r = GasEngine.runArith(g, Apps.tunkrank(), dense = false, iters = 6)
+    val r = Engine.run(g, Apps.tunkrank(), Schedule.PowerL, maxIters = 6)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
 
@@ -72,10 +72,10 @@ class GasEngineSpec extends SparkSpec {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(8, 600, 118))
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
-    val powerG = GasEngine.runMinMax(g, Apps.sssp(root), dense = true)
-    val powerL = GasEngine.runMinMax(g, Apps.sssp(root), dense = false)
-    val gemini = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None)
-    val slfe = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg))
+    val powerG = Engine.run(g, Apps.sssp(root), Schedule.PowerG)
+    val powerL = Engine.run(g, Apps.sssp(root), Schedule.PowerL)
+    val gemini = Engine.run(g, Apps.sssp(root), Schedule.Gemini)
+    val slfe = Engine.run(g, Apps.sssp(root), Schedule.Slfe(rrg))
     assert(powerG.totalComputations >= powerL.totalComputations,
       s"G=${powerG.totalComputations} L=${powerL.totalComputations}")
     assert(slfe.totalComputations <= gemini.totalComputations,
@@ -84,7 +84,7 @@ class GasEngineSpec extends SparkSpec {
 
   test("dense GAS per-iteration computations include the change-blind scatter") {
     val g = figure1(spark)
-    val r = GasEngine.runMinMax(g, Apps.sssp(0L), dense = true)
+    val r = Engine.run(g, Apps.sssp(0L), Schedule.PowerG)
     // every iteration gathers all in-edges (|E|) and scatters all out-edges (|E|)
     r.stats.foreach(s => assert(s.edgeComputations == 2 * g.numEdges))
   }
@@ -93,7 +93,7 @@ class GasEngineSpec extends SparkSpec {
     // Chain 0->1->2: iter 1 settles vertex 1, iter 2 settles vertex 2 whose
     // scatter signals nobody — the loop exits right there.
     val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0)), chunks = 2)
-    val r = GasEngine.runMinMax(g, Apps.sssp(0L), dense = false)
+    val r = Engine.run(g, Apps.sssp(0L), Schedule.PowerL)
     assert(r.iterations == 2)
     assert(r.values == Map(0L -> 0.0, 1L -> 1.0, 2L -> 2.0))
   }
@@ -101,7 +101,7 @@ class GasEngineSpec extends SparkSpec {
   test("dense GAS fails loudly if maxIters is insufficient") {
     val g = figure1(spark)
     intercept[IllegalArgumentException] {
-      GasEngine.runMinMax(g, Apps.sssp(0L), dense = true, maxIters = 1)
+      Engine.run(g, Apps.sssp(0L), Schedule.PowerG, maxIters = 1)
     }
   }
 
@@ -109,8 +109,8 @@ class GasEngineSpec extends SparkSpec {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 350, 119))
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
-    val powerL = GasEngine.runMinMax(g, Apps.sssp(root), dense = false)
-    val slfe = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg))
+    val powerL = Engine.run(g, Apps.sssp(root), Schedule.PowerL)
+    val slfe = Engine.run(g, Apps.sssp(root), Schedule.Slfe(rrg))
     assert(powerL.totalUpdates >= slfe.totalUpdates)
   }
 }

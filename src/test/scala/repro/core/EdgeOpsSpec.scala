@@ -158,8 +158,8 @@ class EdgeOpsKernelSpec extends SparkSpec {
     val runs: Seq[() => RunResult] = gs.flatMap { g =>
       val root = g.maxOutDegVertex
       val rrg = RRGuidance.generate(g, Set(root))
-      Seq(() => SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg)),
-        () => SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = 40, earlyStop = true))
+      Seq(() => Engine.run(g, Apps.sssp(root), Schedule.Slfe(rrg)),
+        () => Engine.run(g, Apps.pagerank(), Schedule.Slfe(rrg), maxIters = 40))
     }
     val sequential = runs.map(_())
     val pool = java.util.concurrent.Executors.newFixedThreadPool(runs.size)

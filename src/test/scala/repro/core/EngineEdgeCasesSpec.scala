@@ -11,7 +11,7 @@ class EngineEdgeCasesSpec extends SparkSpec {
   test("SSSP with unit weights equals BFS hop distance") {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 201))
     val root = g.maxOutDegVertex
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), None)
+    val r = Engine.run(g, Apps.sssp(root, unitWeight = true), Schedule.Gemini)
     val (level, _) = Reference.bfsGuidance(collectEdges(g), Set(root))
     level.foreach { case (v, l) => assert(r.values(v) == l.toDouble, s"vertex $v") }
     r.values.filter(_._2 < 1e17).keys.foreach(v => assert(level.contains(v) || v == root))
@@ -21,28 +21,28 @@ class EngineEdgeCasesSpec extends SparkSpec {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 202))
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
-    val noRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), None)
-    val withRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root, unitWeight = true), Some(rrg))
+    val noRR = Engine.run(g, Apps.sssp(root, unitWeight = true), Schedule.Gemini)
+    val withRR = Engine.run(g, Apps.sssp(root, unitWeight = true), Schedule.Slfe(rrg))
     assert(noRR.values == withRR.values)
   }
 
   test("single-edge graph converges in both engines") {
     val g = TestUtil.graph(spark, Seq((7L, 8L, 4.0)), chunks = 1)
     val rrg = RRGuidance.generate(g, Set(7L))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(7L), Some(rrg))
+    val r = Engine.run(g, Apps.sssp(7L), Schedule.Slfe(rrg))
     assert(r.values == Map(7L -> 0.0, 8L -> 4.0))
   }
 
   test("self-contained two-cycle: CC labels collapse to the minimum") {
     val g = TestUtil.graph(spark, Seq((5L, 6L, 1.0), (6L, 5L, 1.0)), chunks = 2)
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
+    val r = Engine.run(g, Apps.cc, Schedule.Gemini)
     assert(r.values == Map(5L -> 5.0, 6L -> 5.0))
   }
 
   test("WP with RR on the Fig. 1 graph matches the reference") {
     val g = figure1(spark)
     val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.wp(0L), Some(rrg))
+    val r = Engine.run(g, Apps.wp(0L), Schedule.Slfe(rrg))
     val expected = Reference.widestPath(collectEdges(g), 0L)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
@@ -50,39 +50,45 @@ class EngineEdgeCasesSpec extends SparkSpec {
   test("unreachable root side: vertices beyond the root stay at init") {
     val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (2L, 3L, 1.0)), chunks = 2)
     val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), Some(rrg))
+    val r = Engine.run(g, Apps.sssp(0L), Schedule.Slfe(rrg))
     assert(r.values(1L) == 1.0 && r.values(3L) == Apps.Inf)
   }
 
   test("arith engine with zero iterations returns the initial state") {
     val g = figure1(spark)
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 0)
+    val r = Engine.run(g, Apps.pagerank(), Schedule.Gemini, maxIters = 0)
     assert(r.iterations == 0 && r.values.values.forall(_ == 1.0))
   }
 
   test("RR arith run freezes vertices permanently once EC") {
-    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (2L, 0L, 1.0)), chunks = 3)
-    val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = 60)
-    // 3-cycle PR fixpoint is 1.0 for every vertex; EC freezing must not move it.
-    r.values.values.foreach(v => assert(math.abs(v - 1.0) < 1e-6))
-    // Later iterations compute no more vertices than earlier ones.
+    // A 3-cycle fed by a pure source (3), from which PR's default guidance
+    // starts: PR needs many iterations, and the source is stable from
+    // iteration 2 on, so it freezes long before the cycle does.
+    val edges = Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (2L, 0L, 1.0), (3L, 0L, 1.0))
+    val g = TestUtil.graph(spark, edges, chunks = 3)
+    val rrg = RRGuidance.generate(g, RRGuidance.defaultRoots(g))
+    val r = Engine.run(g, Apps.pagerank(), Schedule.Slfe(rrg), maxIters = 200)
+    // EC freezing must not move the values off the fixpoint.
+    assert(maxAbsDiff(r.values, Reference.pagerank(edges, 200)) < 1e-6)
+    // Every vertex is computed at first; a frozen one never again.
     val computed = r.stats.map(_.computedVertices)
-    assert(computed.last <= computed.head)
+    assert(computed.size > 2 && computed.head == 4, computed)
+    assert(computed.zip(computed.tail).forall { case (a, b) => b <= a }, computed)
+    assert(computed.last < computed.head, computed)
   }
 
   test("a guidance generated on another graph is rejected") {
     val g = figure1(spark)
     val rrg = RRGuidance.generate(g, Set(0L))
     val sym = g.symmetrize
-    val e = intercept[IllegalArgumentException](SlfeEngine.edgeProcMinMax(sym, Apps.cc, Some(rrg)))
+    val e = intercept[IllegalArgumentException](Engine.run(sym, Apps.cc, Schedule.Slfe(rrg)))
     assert(e.getMessage.contains("generated on fig1") && e.getMessage.contains("fig1-sym"))
-    intercept[IllegalArgumentException](SlfeEngine.edgeProcArith(sym, Apps.pagerank(), Some(rrg)))
+    intercept[IllegalArgumentException](Engine.run(sym, Apps.pagerank(), Schedule.Slfe(rrg)))
   }
 
   test("metrics: wall time and per-iteration millis are populated") {
     val g = figure1(spark)
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None)
+    val r = Engine.run(g, Apps.sssp(0L), Schedule.Gemini)
     assert(r.stats.nonEmpty && r.stats.forall(s => s.edgeNanos > 0 && s.edgeNanos <= s.nanos))
     assert(r.wallNanos >= r.stats.map(_.nanos).sum)
     assert(r.seconds == r.wallNanos / 1e9)

@@ -15,7 +15,7 @@ class SlfeEngineArithSpec extends SparkSpec {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 91))
     val iters = 10
     val expected = Reference.pagerank(collectEdges(g), iters)
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
+    val r = Engine.run(g, Apps.pagerank(), Schedule.Gemini, maxIters = iters)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
 
@@ -24,7 +24,7 @@ class SlfeEngineArithSpec extends SparkSpec {
     val iters = 40
     val expected = Reference.pagerank(collectEdges(g), iters)
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = iters)
+    val r = Engine.run(g, Apps.pagerank(), Schedule.Slfe(rrg), maxIters = iters)
     // EC vertices freeze once stable for lastIter rounds; by convergence the
     // frozen values agree with the exact fixpoint to ~eps precision.
     assert(maxAbsDiff(r.values, expected) < 1e-4)
@@ -33,14 +33,14 @@ class SlfeEngineArithSpec extends SparkSpec {
   test("PR matches the DuckDB iterated-CTE oracle (3 iterations, rounded)") {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(15, 40, 93))
     val iters = 3
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
+    val r = Engine.run(g, Apps.pagerank(), Schedule.Gemini, maxIters = iters)
     val got = valuesDF(spark, r.values, "v").select(col("id"), round(col("v"), 4) as "rank")
     Oracle.assertEquivalent(got, prSql(iters), "edges" -> g.edges, "verts" -> g.vertices)
   }
 
   test("PR of a 2-cycle converges to the analytic fixpoint 1.0") {
     val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 0L, 1.0)), chunks = 2)
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 50)
+    val r = Engine.run(g, Apps.pagerank(), Schedule.Gemini, maxIters = 50)
     assert(math.abs(r.values(0L) - 1.0) < 1e-9 && math.abs(r.values(1L) - 1.0) < 1e-9)
   }
 
@@ -49,7 +49,7 @@ class SlfeEngineArithSpec extends SparkSpec {
     // clamps their ruler to 1 so their first apply (rank -> 0.15) happens.
     val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0)), chunks = 2)
     val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = 20)
+    val r = Engine.run(g, Apps.pagerank(), Schedule.Slfe(rrg), maxIters = 20)
     assert(math.abs(r.values(0L) - 0.15) < 1e-12)
   }
 
@@ -57,7 +57,7 @@ class SlfeEngineArithSpec extends SparkSpec {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 94))
     val iters = 10
     val expected = Reference.tunkrank(collectEdges(g), iters)
-    val r = SlfeEngine.edgeProcArith(g, Apps.tunkrank(), None, iters = iters)
+    val r = Engine.run(g, Apps.tunkrank(), Schedule.Gemini, maxIters = iters)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
 
@@ -66,7 +66,7 @@ class SlfeEngineArithSpec extends SparkSpec {
     val iters = 40
     val expected = Reference.tunkrank(collectEdges(g), iters)
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
-    val r = SlfeEngine.edgeProcArith(g, Apps.tunkrank(), Some(rrg), iters = iters)
+    val r = Engine.run(g, Apps.tunkrank(), Schedule.Slfe(rrg), maxIters = iters)
     assert(maxAbsDiff(r.values, expected) < 1e-4)
   }
 
@@ -74,8 +74,8 @@ class SlfeEngineArithSpec extends SparkSpec {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 400, 96))
     val iters = 30
     val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
-    val noRR = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = iters)
-    val withRR = SlfeEngine.edgeProcArith(g, Apps.pagerank(), Some(rrg), iters = iters)
+    val noRR = Engine.run(g, Apps.pagerank(), Schedule.Gemini, maxIters = iters)
+    val withRR = Engine.run(g, Apps.pagerank(), Schedule.Slfe(rrg), maxIters = iters)
     assert(withRR.totalComputations < noRR.totalComputations,
       s"RR=${withRR.totalComputations} noRR=${noRR.totalComputations}")
     // Later iterations compute strictly fewer vertices than the first.
@@ -84,13 +84,13 @@ class SlfeEngineArithSpec extends SparkSpec {
 
   test("without RR every iteration computes every vertex (the paper's redundancy)") {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 60, 97))
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 5)
+    val r = Engine.run(g, Apps.pagerank(), Schedule.Gemini, maxIters = 5)
     assert(r.stats.forall(_.computedVertices == g.numVertices))
   }
 
-  test("earlyStop halts once no computed vertex changes") {
+  test("an arithmetic run halts once no computed vertex changes") {
     val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0)), chunks = 1)
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 100, earlyStop = true)
+    val r = Engine.run(g, Apps.pagerank(), Schedule.Gemini, maxIters = 100)
     assert(r.iterations < 100)
     // Fixpoint: 0 -> 0.15, 1 -> 0.15 + 0.85*0.15.
     assert(math.abs(r.values(1L) - (0.15 + 0.85 * 0.15)) < 1e-9)
@@ -98,7 +98,7 @@ class SlfeEngineArithSpec extends SparkSpec {
 
   test("per-iteration stats are internally consistent") {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 50, 98))
-    val r = SlfeEngine.edgeProcArith(g, Apps.pagerank(), None, iters = 4)
+    val r = Engine.run(g, Apps.pagerank(), Schedule.Gemini, maxIters = 4)
     r.stats.foreach { s =>
       assert(s.updates <= s.computedVertices)
       assert(s.edgeComputations <= g.numEdges)

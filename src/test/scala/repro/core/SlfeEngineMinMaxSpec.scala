@@ -13,14 +13,14 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   private def ssspBoth(g: PropertyGraph, root: Long): (RunResult, RunResult) = {
     val rrg = RRGuidance.generate(g, Set(root))
-    val noRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None)
-    val withRR = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg))
+    val noRR = Engine.run(g, Apps.sssp(root), Schedule.Gemini)
+    val withRR = Engine.run(g, Apps.sssp(root), Schedule.Slfe(rrg))
     (noRR, withRR)
   }
 
   test("SSSP without RR reproduces the paper's Fig. 1 final distances") {
     val g = figure1(spark)
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None)
+    val r = Engine.run(g, Apps.sssp(0L), Schedule.Gemini)
     assert(r.values == Map(0L -> 0.0, 1L -> 1.0, 2L -> 2.0, 3L -> 2.0, 4L -> 3.0, 5L -> 4.0))
   }
 
@@ -44,7 +44,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   test("SSSP final distances match the DuckDB recursive oracle") {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 70, 31))
     val root = g.maxOutDegVertex
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), None)
+    val r = Engine.run(g, Apps.sssp(root), Schedule.Gemini)
     val reachable = r.values.filter(_._2 < 1e17)
     Oracle.assertEquivalent(
       valuesDF(spark, reachable, "dist"),
@@ -56,7 +56,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 70, 32))
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(root), Some(rrg))
+    val r = Engine.run(g, Apps.sssp(root), Schedule.Slfe(rrg))
     Oracle.assertEquivalent(
       valuesDF(spark, r.values.filter(_._2 < 1e17), "dist"),
       ssspSql(root, bound = 25.0 * 10 + 1),
@@ -69,8 +69,8 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
       val g = base.symmetrize
       val expected = Reference.components(collectEdges(base)).map { case (k, v) => k -> v.toDouble }
       val rrg = RRGuidance.generate(g, Set(g.vertexIds.min))
-      val noRR = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
-      val withRR = SlfeEngine.edgeProcMinMax(g, Apps.cc, Some(rrg))
+      val noRR = Engine.run(g, Apps.cc, Schedule.Gemini)
+      val withRR = Engine.run(g, Apps.cc, Schedule.Slfe(rrg))
       assert(maxAbsDiff(noRR.values, expected) == 0.0, s"seed=$seed noRR")
       assert(maxAbsDiff(withRR.values, expected) == 0.0, s"seed=$seed withRR")
     }
@@ -80,7 +80,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
     val g = TestUtil.graph(spark,
       Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (5L, 6L, 1.0), (7L, 5L, 1.0), (9L, 9L + 1, 1.0)), chunks = 4)
       .symmetrize
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
+    val r = Engine.run(g, Apps.cc, Schedule.Gemini)
     import org.apache.spark.sql.functions.col
     val labels = valuesDF(spark, r.values, "v").select(col("id"), col("v").cast("long") as "label")
     Oracle.assertEquivalent(labels, ccSql, "edges" -> g.edges, "verts" -> g.vertices)
@@ -92,8 +92,8 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
       val root = g.maxOutDegVertex
       val expected = Reference.widestPath(collectEdges(g), root)
       val rrg = RRGuidance.generate(g, Set(root))
-      val noRR = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), None)
-      val withRR = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), Some(rrg))
+      val noRR = Engine.run(g, Apps.wp(root), Schedule.Gemini)
+      val withRR = Engine.run(g, Apps.wp(root), Schedule.Slfe(rrg))
       assert(maxAbsDiff(noRR.values, expected) < 1e-9, s"seed=$seed noRR")
       assert(maxAbsDiff(withRR.values, expected) < 1e-9, s"seed=$seed withRR")
     }
@@ -102,7 +102,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   test("WP matches the DuckDB max-min closure oracle") {
     val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 50, 61))
     val root = g.maxOutDegVertex
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.wp(root), None)
+    val r = Engine.run(g, Apps.wp(root), Schedule.Gemini)
     Oracle.assertEquivalent(
       valuesDF(spark, r.values.filter(_._2 > 0.0), "width"),
       wpSql(root),
@@ -122,20 +122,20 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
     // A 25-edge chain: the root's one out-edge is 4% of |E|, below the switch.
     val g = TestUtil.graph(spark, (0L until 25L).map(i => (i, i + 1, 1.0)), chunks = 4)
     assert(g.outDeg(0L) <= Engine.DenseFraction * g.numEdges)
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None)
+    val r = Engine.run(g, Apps.sssp(0L), Schedule.Gemini)
     assert(r.stats.head.mode == "push")
   }
 
   test("CC starts in pull mode with all vertices active") {
     val g = figure1(spark).symmetrize
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.cc, None)
+    val r = Engine.run(g, Apps.cc, Schedule.Gemini)
     assert(r.stats.head.mode == "pull")
   }
 
   test("RR run ends with a clean all-active push verification pass") {
     val g = figure1(spark)
     val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), Some(rrg))
+    val r = Engine.run(g, Apps.sssp(0L), Schedule.Slfe(rrg))
     val lastStat = r.stats.last
     assert(lastStat.mode == "push" && lastStat.updates == 0)
   }
@@ -147,7 +147,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
     val chain = (0 until 8).map(i => (100L + i, 101L + i, 1.0))
     val g = TestUtil.graph(spark, Seq((0L, 100L, 1.0), (0L, 1L, 1.0)) ++ chain, chunks = 4)
     val rrg = RRGuidance.generate(g, Set(0L))
-    val r = SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), Some(rrg))
+    val r = Engine.run(g, Apps.sssp(0L), Schedule.Slfe(rrg))
     assert(r.values(108L) == 9.0)
   }
 
@@ -173,7 +173,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   test("engine fails loudly when maxIters is too small") {
     val g = figure1(spark)
     intercept[IllegalArgumentException] {
-      SlfeEngine.edgeProcMinMax(g, Apps.sssp(0L), None, maxIters = 1)
+      Engine.run(g, Apps.sssp(0L), Schedule.Gemini, maxIters = 1)
     }
   }
 
@@ -185,7 +185,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
                                  (sym, Apps.cc, sym.vertexIds(0)))) {
       val rrg = RRGuidance.generate(graph, Set(r))
       val perIter = graph.vertexIds.groupBy(rrg.lastIterOf).map { case (k, vs) => k -> vs.length.toLong }
-      val pulls = SlfeEngine.edgeProcMinMax(graph, prog, Some(rrg)).stats.filter(_.mode == "pull")
+      val pulls = Engine.run(graph, prog, Schedule.Slfe(rrg)).stats.filter(_.mode == "pull")
       assert(pulls.nonEmpty, prog.name)
       pulls.foreach(s => assert(s.computedVertices == perIter.getOrElse(s.iter, 0L), s"${prog.name} iteration ${s.iter}"))
     }

@@ -64,7 +64,7 @@ class EdgeLayoutSpec extends SparkSpec {
   test("an edgeless graph has an empty layout that the engines accept") {
     val g = graph(spark, Seq.empty, chunks = 1)
     assert(g.numVertices == 0 && g.numEdges == 0 && g.layout.blocks.length == g.layout.numChunks)
-    val r = repro.core.SlfeEngine.edgeProcMinMax(g, repro.apps.Apps.cc, None)
+    val r = repro.core.Engine.run(g, repro.apps.Apps.cc, repro.core.Schedule.Gemini)
     assert(r.values.isEmpty && r.totalComputations == 0)
   }
 
