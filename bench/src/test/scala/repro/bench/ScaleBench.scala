@@ -5,7 +5,9 @@ import repro.graph.GraphGen.GraphSpec
 /** A scale sweep beyond the Table 4 stand-ins: SSSP, CC and WP on locally
   * generated RMAT graphs of 2^15 to 2^19 vertex ids, about 9 edges per id,
   * run by every system after one untimed pass over the smallest graph.
-  * Each row gives a system's wall milliseconds (the median of [[Reps]]
+  * Each scale first gives its set-up split: seconds to generate and lay
+  * out the graph, to symmetrize it, and to generate both guidances. Each
+  * row then gives a system's wall milliseconds (the median of [[Reps]]
   * runs), millions of edge computations and iterations, then SLFE's wall
   * time and computations over Gemini's. Run it alone with
   * `sbt -batch "bench/testOnly repro.bench.ScaleBench"`; the largest graph
@@ -26,8 +28,9 @@ class ScaleBench extends BenchBase {
 
     emit("== Scale sweep: wall ms / millions of edge computations / iterations ==")
     for (scale <- 15 to 19) {
-      val p = Harness.prepare(spark, spec(scale))
+      val (p, t) = Harness.prepareTimed(spark, spec(scale))
       emit(s"-- R$scale (|V|=${p.g.numVertices}, |E|=${p.g.numEdges}, rrgMaxLevel=${p.rrgDir.maxLevel}) --")
+      emit(f"setup generate+layout=${t.build}%.3fs symmetrize=${t.symmetrize}%.3fs RRG=${t.rrg}%.3fs")
       for (app <- apps) {
         val runs = systems.map(s => s -> Seq.fill(Reps)(Harness.run(p, s, app))).toMap
         def ms(s: String) = runs(s).map(_.wallNanos / 1e6).sorted.apply(Reps / 2)

@@ -33,19 +33,33 @@ object Harness {
   final case class Prepared(spec: GraphGen.GraphSpec, g: PropertyGraph, sym: PropertyGraph,
                             root: Long, rrgDir: RRGuidance, rrgSym: RRGuidance)
 
-  def prepare(spark: SparkSession, spec: GraphGen.GraphSpec): Prepared = {
+  /** Seconds of one set-up's steps: generating and laying out the graph,
+    * symmetrizing it, and generating both guidances.
+    */
+  final case class SetupTimes(build: Double, symmetrize: Double, rrg: Double)
+
+  def prepare(spark: SparkSession, spec: GraphGen.GraphSpec): Prepared = prepareTimed(spark, spec)._1
+
+  /** [[prepare]], timing its steps. */
+  def prepareTimed(spark: SparkSession, spec: GraphGen.GraphSpec): (Prepared, SetupTimes) = {
+    def timed[A](body: => A): (A, Double) = {
+      val t0 = System.nanoTime()
+      val a = body
+      (a, (System.nanoTime() - t0) / 1e9)
+    }
     // Both graphs are generated, symmetrized and laid out in driver memory,
     // so set-up starts no Spark job and pays for the engines' edge blocks.
     // Each graph keeps only its layout; oracles that read `edges` get a view
     // of its edge list.
-    val g = GraphGen.build(spark, spec)
-    val sym = g.symmetrize
-    val root = g.maxOutDegVertex
+    val (g, build) = timed(GraphGen.build(spark, spec))
+    val (sym, symmetrize) = timed(g.symmetrize)
     // One guidance per traversal graph, generated once and reused by every
     // application on it (the paper's reuse story, §4.4 footnote 4).
-    val rrgDir = RRGuidance.generate(g, Set(root))
-    val rrgSym = RRGuidance.generate(sym, Set(sym.vertexIds(0))) // ids ascend
-    Prepared(spec, g, sym, root, rrgDir, rrgSym)
+    val ((root, rrgDir, rrgSym), rrg) = timed {
+      val root = g.maxOutDegVertex
+      (root, RRGuidance.generate(g, Set(root)), RRGuidance.generate(sym, Set(sym.vertexIds(0)))) // ids ascend
+    }
+    (Prepared(spec, g, sym, root, rrgDir, rrgSym), SetupTimes(build, symmetrize, rrg))
   }
 
   /** The schedule of `system` (PowerG, PowerL, Gemini or SLFE), SLFE guided by `rrg`. */
@@ -171,10 +185,11 @@ object Harness {
       val p = prepare(spark, spec)
       // Per-vertex load under RR: vertices start at lastIter, so early-start
       // vertices do more pull work — the skew stealing has to absorb.
-      val loads = p.g.vertexIds.map { v =>
-        val li = p.rrgDir.lastIterOf(v)
-        (p.rrgDir.maxLevel + 1 - math.min(li, p.rrgDir.maxLevel)) * math.max(p.g.inDeg(v), 1L)
-      }.toSeq
+      val l = p.g.layout
+      val loads = Seq.tabulate(l.numVertices) { i =>
+        val li = p.rrgDir.lastIterOf(l.ids(i))
+        (p.rrgDir.maxLevel + 1 - math.min(li, p.rrgDir.maxLevel)) * math.max(l.inDeg(i), 1).toLong
+      }
       val costs = WorkStealing.chunkCosts(loads)
       val static = WorkStealing.staticSchedule(costs, threads = 8)
       val steal = WorkStealing.stealingSchedule(costs, threads = 8)

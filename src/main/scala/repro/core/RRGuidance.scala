@@ -54,8 +54,9 @@ object RRGuidance {
     * (in-degree 0); if the graph has none, the smallest vertex id.
     */
   def defaultRoots(g: PropertyGraph): Set[Long] = {
-    val sources = g.vertexIds.iterator.filter(v => g.inDeg(v) == 0L).toSet
-    if (sources.nonEmpty) sources else Set(g.vertexIds.min)
+    val l = g.layout
+    val sources = l.ids.indices.iterator.filter(l.inDeg(_) == 0).map(l.ids).toSet
+    if (sources.nonEmpty) sources else Set(l.ids(0)) // ids ascend
   }
 
   /** Run Alg. 1: each BFS frontier is expanded by one push over the edge

@@ -30,9 +30,10 @@ object GraphGen {
     */
   private val TwoToMinus53 = 1.0 / (1L << 53).toDouble
 
-  /** One RMAT edge for (seed, index) over 2^scale vertices. */
-  private[graph] def rmatEdge(scale: Int, seed: Long, index: Long,
-                              a: Double, b: Double, c: Double): (Long, Long) = {
+  /** One RMAT edge for (seed, index) over 2^scale vertex ids, packed as
+    * `src << 32 | dst`.
+    */
+  private[graph] def rmatEdge(scale: Int, seed: Long, index: Long, a: Double, b: Double, c: Double): Long = {
     var src = 0L; var dst = 0L
     var state = mix64(seed ^ mix64(index))
     var lvl = 0
@@ -44,7 +45,7 @@ object GraphGen {
       dst = (dst << 1) | (if (r < a || (r >= a + b && r < a + b + c)) 0L else 1L)
       lvl += 1
     }
-    (src, dst)
+    src << 32 | dst
   }
 
   /** Deterministic integral edge weight in [1, maxW]. */
@@ -62,10 +63,7 @@ object GraphGen {
   def rmatEdges(scale: Int, nEdges: Long, seed: Long, a: Double = 0.57, b: Double = 0.19,
                 c: Double = 0.19, maxWeight: Int = 10): EdgeList = {
     require(scale >= 0 && scale <= 31, s"RMAT scale $scale outside [0, 31]")
-    sample(math.max(nEdges * 2, 64L), nEdges, maxWeight) { i =>
-      val (s, d) = rmatEdge(scale, seed, i, a, b, c)
-      s << 32 | d
-    }
+    sample(math.max(nEdges * 2, 64L), nEdges, maxWeight)(rmatEdge(scale, seed, _, a, b, c))
   }
 
   /** Uniform random simple digraph — small test graphs with no skew. */
@@ -86,42 +84,49 @@ object GraphGen {
     * edge set is exactly that of the SQL query that drops self-loops and
     * duplicates, orders by abs(hash(src, dst)), src and dst, and keeps the
     * first `nEdges` rows (`GraphGenSpec` runs it as the oracle).
+    *
+    * The draws, hashes and sorts run on the JDK common pool; draw `i` lands
+    * in slot `i`, so the result does not depend on the thread count.
     */
   private def sample(draws: Long, nEdges: Long, maxWeight: Int)(pair: Long => Long): EdgeList = {
     require(draws <= Int.MaxValue && nEdges >= 0, s"$draws edge draws for $nEdges edges")
     val pairs = new Array[Long](draws.toInt)
-    var k = 0
-    var i = 0
-    while (i < pairs.length) {
+    java.util.Arrays.parallelSetAll(pairs, (i: Int) => {
       val p = pair(i.toLong)
-      if ((p >>> 32) != (p & 0xFFFFFFFFL)) { pairs(k) = p; k += 1 }
-      i += 1
-    }
+      if ((p >>> 32) != (p & 0xFFFFFFFFL)) p else SelfLoop
+    })
     // Distinct pairs, ascending: rank j is the j-th pair in (src, dst) order.
-    val distinct = EdgeList.distinctSorted(java.util.Arrays.copyOf(pairs, k))
+    // Self-loops all sort first, as one sentinel.
+    val sorted = EdgeList.distinctSorted(pairs)
+    val distinct =
+      if (sorted.nonEmpty && sorted(0) == SelfLoop) java.util.Arrays.copyOfRange(sorted, 1, sorted.length) else sorted
     val keys = new Array[Long](distinct.length)
+    java.util.Arrays.parallelSetAll(keys, (j: Int) => orderKey(sqlHash(distinct(j) >>> 32, distinct(j) & 0xFFFFFFFFL), j))
+    java.util.Arrays.parallelSort(keys)
+    // Mark the ranks of the first `kept` keys (SQL's `limit` takes an Int),
+    // then read the marked pairs in rank order.
+    val kept = math.min(keys.length.toLong, math.min(nEdges, Int.MaxValue.toLong)).toInt
+    val marked = new Array[Boolean](distinct.length)
     var j = 0
-    while (j < keys.length) {
-      keys(j) = orderKey(sqlHash(distinct(j) >>> 32, distinct(j) & 0xFFFFFFFFL), j)
-      j += 1
-    }
-    java.util.Arrays.sort(keys)
-    // SQL's `limit` takes an Int.
-    val ranks = new Array[Int](math.min(keys.length.toLong, math.min(nEdges, Int.MaxValue.toLong)).toInt)
+    while (j < kept) { marked(keys(j).toInt) = true; j += 1 }
+    val (src, dst, weight) = (new Array[Long](kept), new Array[Long](kept), new Array[Double](kept))
+    var k = 0
     j = 0
-    while (j < ranks.length) { ranks(j) = keys(j).toInt; j += 1 }
-    java.util.Arrays.sort(ranks)
-    val (src, dst, weight) = (new Array[Long](ranks.length), new Array[Long](ranks.length), new Array[Double](ranks.length))
-    j = 0
-    while (j < ranks.length) {
-      val p = distinct(ranks(j))
-      src(j) = p >>> 32
-      dst(j) = p & 0xFFFFFFFFL
-      weight(j) = edgeWeight(src(j), dst(j), maxWeight)
+    while (k < kept) {
+      if (marked(j)) {
+        val p = distinct(j)
+        src(k) = p >>> 32
+        dst(k) = p & 0xFFFFFFFFL
+        weight(k) = edgeWeight(src(k), dst(k), maxWeight)
+        k += 1
+      }
       j += 1
     }
     new EdgeList(src, dst, weight)
   }
+
+  /** A drawn self-loop: below every packed pair, whose ids are both < 2^31. */
+  private val SelfLoop = -1L
 
   /** Spark SQL's `hash(src, dst)` of two `bigint` columns: Murmur3, seed 42,
     * folded over the columns in order.

@@ -52,11 +52,10 @@ final class PropertyGraph private (val spark: SparkSession, val name: String, va
   }
 
   /** Undirected view: original plus reversed edges, as distinct
-    * (src, dst, weight) triples ([[EdgeList.symmetrize]]), laid out in this
-    * graph's chunk count.
+    * (src, dst, weight) triples, laid out in this graph's chunk count
+    * straight from this graph's layout ([[EdgeLayout.symmetrize]]).
     */
-  def symmetrize: PropertyGraph =
-    PropertyGraph(spark, name + "-sym", layout.numChunks)(layout.edgeList.symmetrize)
+  def symmetrize: PropertyGraph = new PropertyGraph(spark, name + "-sym", layout.symmetrize(name + "-sym"))
 
   /** Returns `this`: the layout is built with the graph. Kept only because
     * perfbench calls it.

@@ -53,6 +53,23 @@ object TestUtil {
     PropertyGraph(spark, name, chunks)(new EdgeList(edges.map(_._1).toArray, edges.map(_._2).toArray,
       edges.map(_._3).toArray))
 
+  /** The by-id symmetrization that `EdgeLayout.symmetrize` replaced, the
+    * oracle for it: `e` plus its reverses, stably sorted by (src, dst), each
+    * (src, dst) run keeping its first edge of every distinct weight under
+    * SQL `distinct`'s equality (-0.0 equals 0.0, NaN equals NaN).
+    */
+  def oracleSymmetrize(e: EdgeList): EdgeList = {
+    val s = e.src ++ e.dst
+    val d = e.dst ++ e.src
+    val w = e.weight ++ e.weight
+    def same(a: Double, b: Double) = a == b || (a.isNaN && b.isNaN)
+    val keep = s.indices.sortBy(i => (s(i), d(i))) // a stable sort
+      .foldLeft(Vector.empty[Int]) { (kept, i) =>
+        if (kept.exists(j => s(j) == s(i) && d(j) == d(i) && same(w(j), w(i)))) kept else kept :+ i
+      }
+    new EdgeList(keep.map(s).toArray, keep.map(d).toArray, keep.map(w).toArray)
+  }
+
   /** Collect a graph's edges to the driver for the pure-Scala references. */
   def collectEdges(g: PropertyGraph): Seq[(Long, Long, Double)] = {
     val spark = g.spark

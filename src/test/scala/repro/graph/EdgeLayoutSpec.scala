@@ -1,5 +1,6 @@
 package repro.graph
 
+import org.scalacheck.{Gen, Prop}
 import repro.{SparkSpec, TestUtil}
 
 /** The partitioned CSR/CSC edge blocks the engines run on. */
@@ -43,6 +44,50 @@ class EdgeLayoutSpec extends SparkSpec {
     val (_, jobs) = sparkJobs(spark)(Seq(graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 2.0)), chunks = 2),
       PropertyGraph(spark, chunks = 3)(GraphGen.rmatEdges(7, 300, 38)), figure1(spark).symmetrize))
     assert(jobs == 0 && sc.getPersistentRDDs.keySet == before)
+  }
+
+  private def weightBits(ws: Array[Double]): Seq[Long] = ws.toSeq.map(java.lang.Double.doubleToRawLongBits)
+
+  /** `a` and `b` hold equal arrays, doubles compared bit for bit. */
+  private def sameLayout(a: EdgeLayout, b: EdgeLayout): Boolean = {
+    def ints(f: EdgeLayout => Array[Int]) = f(a).sameElements(f(b))
+    a.ids.sameElements(b.ids) && ints(_.outDeg) && ints(_.inDeg) && ints(_.adjOff) && ints(_.adjDst) &&
+      ints(_.chunkStarts) && a.blocks.length == b.blocks.length && a.blocks.zip(b.blocks).forall { case (x, y) =>
+        x.lo == y.lo && x.hi == y.hi && x.inOff.sameElements(y.inOff) && x.inSrc.sameElements(y.inSrc) &&
+          weightBits(x.inW) == weightBits(y.inW) && x.outOff.sameElements(y.outOff) && x.outDst.sameElements(y.outDst) &&
+          weightBits(x.outW) == weightBits(y.outW) && x.outDeg.sameElements(y.outDeg)
+      }
+  }
+
+  /** `g.symmetrize`'s layout equals the by-id oracle's edges laid out anew. */
+  private def symmetrizesLikeOracle(g: PropertyGraph): Boolean =
+    sameLayout(g.symmetrize.layout, EdgeLayout.build(oracleSymmetrize(g.layout.edgeList), g.layout.numChunks, "oracle"))
+
+  test("symmetrizing a layout equals laying out the by-id symmetrized edges") {
+    checkProp(Prop.forAll(Gen.choose(1, 9), Gen.choose(0L, 300L), Gen.choose(0L, 1000L), Gen.choose(1, 5)) {
+      (scale: Int, nEdges: Long, seed: Long, chunks: Int) =>
+        symmetrizesLikeOracle(PropertyGraph(spark, "rmat", chunks)(GraphGen.rmatEdges(scale, nEdges, seed))) &&
+          symmetrizesLikeOracle(PropertyGraph(spark, "uniform", chunks)(GraphGen.uniformEdges(1L << scale, nEdges, seed)))
+    }, minSuccessful = 20)
+    val otherNaN = java.lang.Double.longBitsToDouble(0x7ff8000000000abcL)
+    val literals = Seq(
+      // 1 -> 2 twice with two weights, 2 -> 1 with a third, and a self-loop.
+      Seq((1L, 2L, 5.0), (1L, 2L, 7.0), (2L, 1L, 3.0), (2L, 3L, 1.0), (4L, 4L, 2.0)),
+      // Signed zeros and NaNs, which SQL's distinct treats as equal.
+      Seq((1L, 2L, -0.0), (2L, 1L, 0.0), (1L, 2L, 0.0), (3L, 1L, Double.NaN), (1L, 3L, otherNaN), (3L, 1L, otherNaN)),
+      Seq.empty)
+    for (edges <- literals; chunks <- 1 to 5)
+      assert(symmetrizesLikeOracle(graph(spark, edges, chunks)), s"$edges in $chunks chunks")
+  }
+
+  test("a layout does not depend on the order of its edges") {
+    // No pair repeats, so no two edges tie in either order.
+    val rnd = new scala.util.Random(44)
+    for (e <- Seq(GraphGen.rmatEdges(8, 600, 45), GraphGen.uniformEdges(50, 300, 46)); chunks <- 1 to 4) {
+      val order = rnd.shuffle(e.src.indices.toVector)
+      val shuffled = new EdgeList(order.map(e.src).toArray, order.map(e.dst).toArray, order.map(e.weight).toArray)
+      assert(sameLayout(EdgeLayout.build(shuffled, chunks, "shuffled"), EdgeLayout.build(e, chunks, "sorted")), chunks)
+    }
   }
 
   test("a literal graph gets exactly the chunk count it asks for") {

@@ -29,7 +29,10 @@ class GraphGenSpec extends SparkSpec {
   private def sqlRmat(scale: Int, nEdges: Long, seed: Long): Set[Edge] = {
     val s = spark
     import s.implicits._
-    val edge = udf((i: Long) => GraphGen.rmatEdge(scale, seed, i, 0.57, 0.19, 0.19))
+    val edge = udf { (i: Long) =>
+      val p = GraphGen.rmatEdge(scale, seed, i, 0.57, 0.19, 0.19)
+      (p >>> 32, p & 0xFFFFFFFFL)
+    }
     sqlEdges(spark.range(math.max(nEdges * 2, 64L)).select(edge($"id") as "e")
       .select($"e._1" as "src", $"e._2" as "dst"), nEdges)
   }
@@ -76,10 +79,30 @@ class GraphGenSpec extends SparkSpec {
     val dense = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(12, 90, 5)) // many reciprocal pairs
     for (g <- Seq(literal, dense, figure1(spark))) {
       val sql = g.edges.unionByName(g.edges.select($"dst" as "src", $"src" as "dst", $"weight")).distinct()
-      assert(triples(g.layout.edgeList.symmetrize) == sql.as[Edge].collect().toSet, g.name)
+      assert(triples(g.symmetrize.layout.edgeList) == sql.as[Edge].collect().toSet, g.name)
       assert(collectEdges(g.symmetrize).toSet == sql.as[Edge].collect().toSet, g.name)
     }
-    assert(triples(literal.layout.edgeList.symmetrize).count { case (a, b, _) => a == 1L && b == 2L } == 2)
+    assert(triples(literal.symmetrize.layout.edgeList).count { case (a, b, _) => a == 1L && b == 2L } == 2)
+  }
+
+  private def sameEdges(a: EdgeList, b: EdgeList): Boolean =
+    a.src.sameElements(b.src) && a.dst.sameElements(b.dst) && a.weight.sameElements(b.weight)
+
+  test("concurrent generator calls equal a sequential call") {
+    import scala.concurrent.{Await, Future}
+    import scala.concurrent.ExecutionContext.Implicits.global
+    import scala.concurrent.duration._
+    val calls = Seq[() => EdgeList](() => GraphGen.rmatEdges(12, 20000, 41), () => GraphGen.uniformEdges(3000, 20000, 42))
+    for (call <- calls) {
+      val sequential = call()
+      assert(sequential.size > 15000)
+      val concurrent = Await.result(Future.sequence(Seq.fill(4)(Future(call()))), 2.minutes)
+      assert(concurrent.forall(sameEdges(_, sequential)))
+    }
+  }
+
+  test("a sample of self-loops only gives no edge") {
+    for (seed <- 0L to 3L) assert(GraphGen.uniformEdges(1, 10, seed).size == 0, s"seed $seed")
   }
 
   test("the local order sorts a hash of Int.MinValue first") {
@@ -101,8 +124,9 @@ class GraphGenSpec extends SparkSpec {
 
   test("rmatEdge stays inside the vertex id space") {
     checkProp(Prop.forAll(Gen.choose(1, 12), Gen.choose(0L, 1000000L)) { (scale: Int, i: Long) =>
-      val (s, d) = GraphGen.rmatEdge(scale, 7L, i, 0.57, 0.19, 0.19)
-      s >= 0 && s < (1L << scale) && d >= 0 && d < (1L << scale)
+      val p = GraphGen.rmatEdge(scale, 7L, i, 0.57, 0.19, 0.19)
+      val (s, d) = (p >>> 32, p & 0xFFFFFFFFL)
+      p >= 0 && s < (1L << scale) && d < (1L << scale)
     })
   }
 

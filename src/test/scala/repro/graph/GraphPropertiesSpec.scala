@@ -28,8 +28,8 @@ class GraphPropertiesSpec extends SparkSpec {
   test("property: rmatEdge quadrant probabilities favor the 0-0 corner") {
     val n = 4000
     val hits = (0 until n).count { i =>
-      val (s, d) = GraphGen.rmatEdge(8, 5L, i.toLong, 0.57, 0.19, 0.19)
-      s < 128 && d < 128 // top-level quadrant (0,0)
+      val p = GraphGen.rmatEdge(8, 5L, i.toLong, 0.57, 0.19, 0.19)
+      (p >>> 32) < 128 && (p & 0xFFFFFFFFL) < 128 // top-level quadrant (0,0)
     }
     // a=0.57 at the first level; allow generous sampling noise
     assert(hits > n * 0.50 && hits < n * 0.64, s"hits=$hits")
