@@ -23,12 +23,12 @@ class ScaleBench extends BenchBase {
     GraphSpec(s"R$scale", scale, 1200000L << scale >> 17, 100L + scale, 0.0, 0.0, 1, "RMAT")
 
   test("Scale sweep: RMAT R15 to R19") {
-    val warm = Harness.prepare(spark, spec(15))
+    val warm = Harness.prepare(spec(15))
     for (app <- apps; system <- systems) Harness.run(warm, system, app)
 
     emit("== Scale sweep: wall ms / millions of edge computations / iterations ==")
     for (scale <- 15 to 19) {
-      val (p, t) = Harness.prepareTimed(spark, spec(scale))
+      val (p, t) = Harness.prepareTimed(spec(scale))
       emit(s"-- R$scale (|V|=${p.g.numVertices}, |E|=${p.g.numEdges}, rrgMaxLevel=${p.rrgDir.maxLevel}) --")
       emit(f"setup generate+layout=${t.build}%.3fs symmetrize=${t.symmetrize}%.3fs RRG=${t.rrg}%.3fs")
       for (app <- apps) {

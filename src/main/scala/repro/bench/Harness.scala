@@ -38,20 +38,22 @@ object Harness {
     */
   final case class SetupTimes(build: Double, symmetrize: Double, rrg: Double)
 
-  def prepare(spark: SparkSession, spec: GraphGen.GraphSpec): Prepared = prepareTimed(spark, spec)._1
+  def prepare(spec: GraphGen.GraphSpec): Prepared = prepareTimed(spec)._1
+
+  /** [[prepare]], ignoring the session. Kept only because perfbench calls it. */
+  def prepare(spark: SparkSession, spec: GraphGen.GraphSpec): Prepared = prepare(spec)
 
   /** [[prepare]], timing its steps. */
-  def prepareTimed(spark: SparkSession, spec: GraphGen.GraphSpec): (Prepared, SetupTimes) = {
+  def prepareTimed(spec: GraphGen.GraphSpec): (Prepared, SetupTimes) = {
     def timed[A](body: => A): (A, Double) = {
       val t0 = System.nanoTime()
       val a = body
       (a, (System.nanoTime() - t0) / 1e9)
     }
-    // Both graphs are generated, symmetrized and laid out in driver memory,
-    // so set-up starts no Spark job and pays for the engines' edge blocks.
-    // Each graph keeps only its layout; oracles that read `edges` get a view
-    // of its edge list.
-    val (g, build) = timed(GraphGen.build(spark, spec))
+    // Both graphs are generated, symmetrized and laid out in memory, so
+    // set-up pays for the engines' edge blocks. Each graph keeps only its
+    // layout; oracles that read `edges` get a view of its edge list.
+    val (g, build) = timed(GraphGen.build(spec))
     val (sym, symmetrize) = timed(g.symmetrize)
     // One guidance per traversal graph, generated once and reused by every
     // application on it (the paper's reuse story, §4.4 footnote 4).
@@ -90,11 +92,11 @@ object Harness {
   }
 
   /** Table 4: dataset statistics — paper's graphs vs the scaled stand-ins. */
-  def table4(spark: SparkSession, specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
+  def table4(specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
     out("== Table 4: graph datasets (paper vs scaled stand-in) ==")
     out(f"${"Graph"}%-6s ${"paper|V|"}%10s ${"paper|E|"}%10s ${"div"}%6s ${"|V|"}%8s ${"|E|"}%9s ${"AvgDeg"}%7s  Type")
     specs.foreach { spec =>
-      val g = GraphGen.build(spark, spec)
+      val g = GraphGen.build(spec)
       val avg = g.numEdges.toDouble / g.numVertices
       out(f"${spec.name}%-6s ${spec.paperVertices}%10d ${spec.paperEdges}%10d ${spec.divisor}%6d " +
         f"${g.numVertices}%8d ${g.numEdges}%9d ${avg}%7.1f  ${spec.kind}")
@@ -106,10 +108,10 @@ object Harness {
     * PowerLyra and Gemini; ideal is 1). PowerG and SLFE appended for
     * contrast.
     */
-  def table2(spark: SparkSession, specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
+  def table2(specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
     out("== Table 2: SSSP computations per vertex (ideal = 1) ==")
     out(f"${"System"}%-10s " + specs.map(s => f"${s.name}%7s").mkString(" "))
-    val prepared = specs.map(prepare(spark, _))
+    val prepared = specs.map(prepare(_))
     for (system <- Seq("PowerG", "PowerL", "Gemini", "SLFE")) {
       val row = prepared.map { p =>
         val r = Engine.run(p.g, Apps.sssp(p.root), schedule(system, p.rrgDir)) // weighted
@@ -122,7 +124,7 @@ object Harness {
   /** Table 5: all systems x apps x graphs. Primary metric: edge
     * computations (substrate-independent); wall seconds appended.
     */
-  def table5(spark: SparkSession, specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
+  def table5(specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
     val systems = Seq("PowerG", "PowerL", "Gemini", "SLFE")
     val apps = Seq("SSSP", "CC", "WP", "PR", "TR")
     out("== Table 5: millions of edge computations; milliseconds and iterations in parens ==")
@@ -130,7 +132,7 @@ object Harness {
     val speedupsG = scala.collection.mutable.ArrayBuffer.empty[Double]
     val speedupsL = scala.collection.mutable.ArrayBuffer.empty[Double]
     for (spec <- specs) {
-      val p = prepare(spark, spec)
+      val p = prepare(spec)
       out(s"-- ${spec.name} (|V|=${p.g.numVertices}, |E|=${p.g.numEdges}, root=${p.root}, " +
         s"rrgMaxLevel=${p.rrgDir.maxLevel}) --")
       for (app <- apps) {
@@ -161,17 +163,17 @@ object Harness {
     * `amortized` spreads it over the paper's reported 8.7 jobs per graph
     * (§4.4 footnote 4 — the guidance is reused across applications).
     */
-  def overhead(spark: SparkSession, specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
+  def overhead(specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
     out("== Preprocessing overhead (RRG generation vs SSSP computations) ==")
-    out(f"${"Graph"}%-6s ${"rrgComps"}%10s ${"rrgMs"}%7s ${"geminiSSSP"}%12s ${"slfeSSSP"}%10s ${"end2end"}%8s ${"amortized"}%10s")
+    out(f"${"Graph"}%-6s ${"rrgComps"}%10s ${"rrgMs"}%8s ${"geminiSSSP"}%12s ${"slfeSSSP"}%10s ${"end2end"}%8s ${"amortized"}%10s")
     for (spec <- specs) {
-      val p = prepare(spark, spec)
+      val p = prepare(spec)
       val gem = run(p, "Gemini", "SSSP")
       val slfe = run(p, "SLFE", "SSSP")
       val gemC = math.max(gem.totalComputations, 1L).toDouble
       val endToEnd = (p.rrgDir.edgeComputations + slfe.totalComputations) / gemC
       val amortized = (p.rrgDir.edgeComputations / 8.7 + slfe.totalComputations) / gemC
-      out(f"${spec.name}%-6s ${p.rrgDir.edgeComputations}%10d ${p.rrgDir.wallMillis}%7d " +
+      out(f"${spec.name}%-6s ${p.rrgDir.edgeComputations}%10d ${p.rrgDir.wallNanos / 1e6}%8.2f " +
         f"${gem.totalComputations}%12d ${slfe.totalComputations}%10d ${endToEnd}%8.2f ${amortized}%10.2f")
     }
   }
@@ -179,10 +181,10 @@ object Harness {
   /** Fig. 10 companion: work-stealing makespans on RR-skewed per-vertex
     * loads, and chunking/replication comparisons.
     */
-  def balance(spark: SparkSession, specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
+  def balance(specs: Seq[GraphGen.GraphSpec], out: String => Unit): Unit = {
     out("== Balance: work stealing on RR-skewed loads; partitioning factors ==")
     for (spec <- specs) {
-      val p = prepare(spark, spec)
+      val p = prepare(spec)
       // Per-vertex load under RR: vertices start at lastIter, so early-start
       // vertices do more pull work — the skew stealing has to absorb.
       val l = p.g.layout

@@ -1,7 +1,7 @@
 package repro.core
 
 import java.util.BitSet
-import java.util.concurrent.{CountDownLatch, ExecutorService, Executors}
+import java.util.concurrent.{CountDownLatch, Executors}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicReference}
 import repro.graph.{EdgeBlock, EdgeLayout, PropertyGraph, VertexMap}
 
@@ -13,7 +13,6 @@ final case class VState(
     id: Long,
     value: Double,
     active: Boolean,
-    stableCnt: Int,
     lastIter: Int,
     outDeg: Long,
 )
@@ -81,35 +80,27 @@ final class Messages(n: Int) {
 /** The edge half of every engine: messages over the graph's partitioned
   * edge blocks ([[repro.graph.EdgeLayout]]), combined per destination. As in
   * Gemini's single-node runtime, a call runs one task per chunk: the caller
-  * and up to (parallelism - 1) threads of a fixed in-process pool claim
-  * chunks from one counter until none is left, and the caller waits for the
-  * ones still running. Pull walks the CSC in-edges of the selected
+  * and up to `availableProcessors - 1` threads of a fixed in-process pool
+  * claim chunks from one counter until none is left, and the caller waits
+  * for the ones still running. Pull walks the CSC in-edges of the selected
   * destinations; push walks the CSR out-edges of the active sources, as in
   * Gemini's dense and sparse modes. Chunks own disjoint destination ranges,
   * so each one writes its aggregates, counts and receivers straight into the
-  * call's [[Messages]]. No Spark job runs, so the edge passes run in the
-  * calling JVM whatever the Spark master.
+  * call's [[Messages]].
   */
 private[repro] object EdgeOps {
 
-  private var pool: ExecutorService = _
-  private var parallelism = 1
-
-  /** The helper pool, created on first use with one daemon thread fewer than
-    * the Spark context's default parallelism (`local[n]` sets it to n): the
-    * caller is the last one.
+  /** Threads that run one call's chunk tasks, the caller included: one per
+    * processor, as Spark's `local[*]` master counts them.
     */
-  private def workers(g: PropertyGraph): ExecutorService = synchronized {
-    if (pool == null) {
-      parallelism = g.spark.sparkContext.defaultParallelism.max(1)
-      pool = Executors.newFixedThreadPool((parallelism - 1).max(1), (r: Runnable) => {
-        val t = new Thread(r, "edgeops-worker")
-        t.setDaemon(true)
-        t
-      })
-    }
-    pool
-  }
+  private val Threads = Runtime.getRuntime.availableProcessors
+
+  /** The caller's helpers: daemon threads, one fewer than [[Threads]]. */
+  private val workers = Executors.newFixedThreadPool((Threads - 1).max(1), (r: Runnable) => {
+    val t = new Thread(r, "edgeops-worker")
+    t.setDaemon(true)
+    t
+  })
 
   /** One call's chunk tasks. `run` claims chunks until none is left; the
     * task of chunk `c` returns its edge count and sets `ends(c)` to where its
@@ -148,12 +139,10 @@ private[repro] object EdgeOps {
   /** `task` on every block into `m`, which it clears first. A failing task
     * fails the call with its own exception and leaves `m` empty.
     */
-  private def perChunk(g: PropertyGraph, l: EdgeLayout, m: Messages)
-                      (task: (EdgeBlock, Array[Int], Int) => Long): Messages = {
-    val pool = workers(g)
+  private def perChunk(l: EdgeLayout, m: Messages)(task: (EdgeBlock, Array[Int], Int) => Long): Messages = {
     m.clear()
     val chunks = new Chunks(l.blocks, task)
-    for (_ <- 1 until parallelism.min(l.numChunks)) pool.execute(chunks)
+    for (_ <- 1 until Threads.min(l.numChunks)) workers.execute(chunks)
     chunks.run()
     val edges =
       try chunks.await()
@@ -181,7 +170,7 @@ private[repro] object EdgeOps {
     val m = buffer(l, into)
     if (dsts.exists(_.isEmpty)) return none(m)
     val (msg, agg, d) = (prog.msg, prog.agg, dsts.orNull)
-    perChunk(g, l, m)(pullBlock(_, _, _, msg, agg, values, d, m))
+    perChunk(l, m)(pullBlock(_, _, _, msg, agg, values, d, m))
   }
 
   /** Push: the sources `srcs` (dense indices) send their value in `values`
@@ -195,7 +184,7 @@ private[repro] object EdgeOps {
     val m = buffer(l, into)
     if (srcs.isEmpty) return none(m)
     val (msg, agg) = (prog.msg, prog.agg)
-    perChunk(g, l, m)(pushBlock(_, _, _, msg, agg, values, srcs, m))
+    perChunk(l, m)(pushBlock(_, _, _, msg, agg, values, srcs, m))
   }
 
   /** Aggregate messages into destinations, by vertex id.
@@ -240,7 +229,7 @@ private[repro] object EdgeOps {
     val l = g.layout
     Array.tabulate(l.numVertices) { i =>
       val v = l.ids(i)
-      VState(v, prog.initValue(v), prog.initActive(v), 0,
+      VState(v, prog.initValue(v), prog.initActive(v),
         rrg.map(_.lastIterOf(v)).getOrElse(0), l.outDeg(i).toLong)
     }
   }

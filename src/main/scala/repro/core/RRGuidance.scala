@@ -25,7 +25,7 @@ final class RRGuidance private (
     lastIters: Array[Int],
     val maxLevel: Int,
     val edgeComputations: Long,
-    val wallMillis: Long,
+    val wallNanos: Long,
 ) {
   val level: Map[Long, Int] = new VertexMap(ids, levels(_), levels(_) >= 0)
   val lastIter: Map[Long, Int] = new VertexMap(ids, lastIters(_), lastIters(_) > 0)
@@ -102,7 +102,7 @@ object RRGuidance {
     }
     // Level iter - 1 reached no vertex, so the deepest level is iter - 2.
     new RRGuidance(g.name, l.ids, l.numEdges, level, last, math.max(iter - 2, 0), comps,
-      (System.nanoTime() - t0) / 1000000L)
+      System.nanoTime() - t0)
   }
 
   /** Frontier expansion as a vertex program: only its edge counts are read. */

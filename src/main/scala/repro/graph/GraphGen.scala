@@ -155,11 +155,11 @@ object GraphGen {
   /** The seven real-graph stand-ins (paper Table 4). Edge counts are the
     * paper's scaled down (PK/OK/LJ/ST by 1/1000, WK/DI by 1/4000, FS by
     * 1/8000, so the biggest graph stays the biggest while the full
-    * 5-app x 7-graph sweep fits a laptop-scale Spark session). The vertex
-    * id space (`scale`) is chosen for BFS depth rather than for the paper's
-    * average degree: shrinking a graph at constant degree collapses its
-    * diameter, and diameter is what drives the ramp-up redundancy the paper
-    * measures — see DESIGN.md for this substitution.
+    * 5-app x 7-graph sweep fits a laptop). The vertex id space (`scale`) is
+    * chosen for BFS depth rather than for the paper's average degree:
+    * shrinking a graph at constant degree collapses its diameter, and
+    * diameter is what drives the ramp-up redundancy the paper measures — see
+    * DESIGN.md for this substitution.
     */
   val datasets: Seq[GraphSpec] = Seq(
     GraphSpec("PK", 13,  30600L, 101, 1.6,   30.6, 1000, "Social"),
@@ -172,8 +172,11 @@ object GraphGen {
   )
 
   /** One dataset as a graph laid out in `partitions` chunks. Its edges are
-    * generated in driver memory, so no Spark job runs.
+    * generated in memory.
     */
-  def build(spark: SparkSession, spec: GraphSpec, partitions: Int = 8): PropertyGraph =
-    PropertyGraph(spark, spec.name, partitions)(rmatEdges(spec.scale, spec.targetEdges, spec.seed))
+  def build(spec: GraphSpec, partitions: Int = 8): PropertyGraph =
+    PropertyGraph(spec.name, partitions)(rmatEdges(spec.scale, spec.targetEdges, spec.seed))
+
+  /** [[build]] in 8 chunks, ignoring the session. Kept only because perfbench calls it. */
+  def build(spark: SparkSession, spec: GraphSpec): PropertyGraph = build(spec)
 }

@@ -11,12 +11,18 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * vertex arrays and per-chunk CSR/CSC edge blocks, all in local memory,
   * which the engines' chunk tasks read in place. It is the only form of the
   * edges a graph keeps: the edges DataFrame, the vertex ids, degrees and
-  * out-adjacency below are views over its arrays.
+  * out-adjacency below are views over its arrays. Defining, laying out and
+  * running a graph needs no SparkSession; only the two DataFrame views do.
   */
-final class PropertyGraph private (val spark: SparkSession, val name: String, val layout: EdgeLayout) {
+final class PropertyGraph private (val name: String, val layout: EdgeLayout) {
 
-  /** The edges (`src: Long, dst: Long, weight: Double`) as a DataFrame, for
-    * oracles: a view of the layout's edge list.
+  /** The active SparkSession, which the DataFrame views are built over.
+    * Kept only because perfbench's checks read it.
+    */
+  def spark: SparkSession = SparkSession.active
+
+  /** The edges (`src: Long, dst: Long, weight: Double`) as a DataFrame over
+    * the active SparkSession, for oracles: a view of the layout's edge list.
     */
   def edges: DataFrame = layout.edgeList.toDF(spark)
 
@@ -35,9 +41,10 @@ final class PropertyGraph private (val spark: SparkSession, val name: String, va
   /** Out-neighbours per vertex (empty for pure sinks). */
   lazy val outNbrs: Map[Long, Array[Long]] = VertexMap(layout.ids, layout.outNbrIds)
 
-  /** Vertex ids as a single-column DataFrame (for oracle queries). */
+  /** Vertex ids as a single-column DataFrame, for oracle queries. */
   def vertices: DataFrame = {
-    import spark.implicits._
+    val s = spark
+    import s.implicits._
     vertexIds.toSeq.toDF("id")
   }
 
@@ -55,7 +62,7 @@ final class PropertyGraph private (val spark: SparkSession, val name: String, va
     * (src, dst, weight) triples, laid out in this graph's chunk count
     * straight from this graph's layout ([[EdgeLayout.symmetrize]]).
     */
-  def symmetrize: PropertyGraph = new PropertyGraph(spark, name + "-sym", layout.symmetrize(name + "-sym"))
+  def symmetrize: PropertyGraph = new PropertyGraph(name + "-sym", layout.symmetrize(name + "-sym"))
 
   /** Returns `this`: the layout is built with the graph. Kept only because
     * perfbench calls it.
@@ -71,8 +78,8 @@ final class PropertyGraph private (val spark: SparkSession, val name: String, va
 object PropertyGraph {
 
   /** The graph of `edges`, laid out now in `chunks` chunks; the list itself
-    * is not kept. Defining it starts no Spark job.
+    * is not kept.
     */
-  def apply(spark: SparkSession, name: String = "g", chunks: Int)(edges: EdgeList): PropertyGraph =
-    new PropertyGraph(spark, name, EdgeLayout.build(edges, chunks, name))
+  def apply(name: String = "g", chunks: Int)(edges: EdgeList): PropertyGraph =
+    new PropertyGraph(name, EdgeLayout.build(edges, chunks, name))
 }

@@ -3,7 +3,6 @@ package repro
 import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import org.scalacheck.{Prop, Test => SCTest}
 import repro.graph.{EdgeList, PropertyGraph}
 
@@ -49,8 +48,8 @@ object TestUtil {
   }
 
   /** The graph of literal (src, dst, weight) triples, in `chunks` chunks. */
-  def graph(spark: SparkSession, edges: Seq[(Long, Long, Double)], chunks: Int, name: String = "t"): PropertyGraph =
-    PropertyGraph(spark, name, chunks)(new EdgeList(edges.map(_._1).toArray, edges.map(_._2).toArray,
+  def graph(edges: Seq[(Long, Long, Double)], chunks: Int, name: String = "t"): PropertyGraph =
+    PropertyGraph(name, chunks)(new EdgeList(edges.map(_._1).toArray, edges.map(_._2).toArray,
       edges.map(_._3).toArray))
 
   /** The by-id symmetrization that `EdgeLayout.symmetrize` replaced, the
@@ -70,17 +69,18 @@ object TestUtil {
     new EdgeList(keep.map(s).toArray, keep.map(d).toArray, keep.map(w).toArray)
   }
 
-  /** Collect a graph's edges to the driver for the pure-Scala references. */
+  /** A graph's edges, in its layout's (dst, src) order, for the pure-Scala
+    * references.
+    */
   def collectEdges(g: PropertyGraph): Seq[(Long, Long, Double)] = {
-    val spark = g.spark
-    import spark.implicits._
-    g.edges.select($"src", $"dst", $"weight").as[(Long, Long, Double)].collect().toSeq
+    val e = g.layout.edgeList
+    Seq.tabulate(e.size)(i => (e.src(i), e.dst(i), e.weight(i)))
   }
 
   /** Paper Fig. 1 example graph (final SSSP dists 0,1,2,2,3,4 from V0), in
     * four chunks, so that even this tiny graph runs the multi-chunk path.
     */
-  def figure1(spark: SparkSession): PropertyGraph = graph(spark, Seq(
+  def figure1(): PropertyGraph = graph(Seq(
     (0L, 1L, 1.0), (0L, 3L, 2.0), (1L, 2L, 1.0),
     (3L, 4L, 2.0), (2L, 4L, 1.0), (4L, 5L, 1.0),
   ), chunks = 4, name = "fig1")

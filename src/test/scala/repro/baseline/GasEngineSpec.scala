@@ -1,6 +1,7 @@
 package repro.baseline
 
-import repro.{SparkSpec, TestUtil}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestUtil
 import repro.apps.Apps
 import repro.core.{Engine, RRGuidance, Schedule}
 import repro.graph.{GraphGen, PropertyGraph, Reference}
@@ -8,11 +9,11 @@ import repro.graph.{GraphGen, PropertyGraph, Reference}
 /** The PowerG/PowerL baseline simulators must agree with the references on
   * results while exhibiting the redundancy ordering the paper measures.
   */
-class GasEngineSpec extends SparkSpec {
+class GasEngineSpec extends AnyFunSuite {
   import TestUtil._
 
   test("dense GAS SSSP matches Dijkstra") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 111))
+    val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(6, 150, 111))
     val root = g.maxOutDegVertex
     val expected = Reference.sssp(collectEdges(g), root)
     val r = Engine.run(g, Apps.sssp(root), Schedule.PowerG)
@@ -20,7 +21,7 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("signaled GAS SSSP matches Dijkstra") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, 112))
+    val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(6, 150, 112))
     val root = g.maxOutDegVertex
     val expected = Reference.sssp(collectEdges(g), root)
     val r = Engine.run(g, Apps.sssp(root), Schedule.PowerL)
@@ -28,7 +29,7 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("dense and signaled GAS agree with the SLFE engine on CC") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 45, 113)).symmetrize
+    val g = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(25, 45, 113)).symmetrize
     val slfe = Engine.run(g, Apps.cc, Schedule.Gemini)
     val dense = Engine.run(g, Apps.cc, Schedule.PowerG)
     val signaled = Engine.run(g, Apps.cc, Schedule.PowerL)
@@ -37,7 +38,7 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("dense GAS WP matches the reference") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 55, 114))
+    val g = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(20, 55, 114))
     val root = g.maxOutDegVertex
     val expected = Reference.widestPath(collectEdges(g), root)
     val r = Engine.run(g, Apps.wp(root), Schedule.PowerG)
@@ -45,21 +46,21 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("dense GAS PR matches the reference power iteration") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 120, 115))
+    val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(6, 120, 115))
     val expected = Reference.pagerank(collectEdges(g), 8)
     val r = Engine.run(g, Apps.pagerank(), Schedule.PowerG, maxIters = 8)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
 
   test("signaled GAS PR matches the reference power iteration") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 120, 116))
+    val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(6, 120, 116))
     val expected = Reference.pagerank(collectEdges(g), 8)
     val r = Engine.run(g, Apps.pagerank(), Schedule.PowerL, maxIters = 8)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
   }
 
   test("signaled GAS TR matches the reference") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 120, 117))
+    val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(6, 120, 117))
     val expected = Reference.tunkrank(collectEdges(g), 6)
     val r = Engine.run(g, Apps.tunkrank(), Schedule.PowerL, maxIters = 6)
     assert(maxAbsDiff(r.values, expected) < 1e-9)
@@ -69,7 +70,7 @@ class GasEngineSpec extends SparkSpec {
     // PowerG vs PowerL (dense vs signaled gather) and SLFE vs Gemini (RR vs
     // no RR on the identical engine) are the substrate-independent orderings;
     // SLFE vs PowerL in *counts* is graph-dependent (see DESIGN.md).
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(8, 600, 118))
+    val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(8, 600, 118))
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
     val powerG = Engine.run(g, Apps.sssp(root), Schedule.PowerG)
@@ -83,7 +84,7 @@ class GasEngineSpec extends SparkSpec {
   }
 
   test("dense GAS per-iteration computations include the change-blind scatter") {
-    val g = figure1(spark)
+    val g = figure1()
     val r = Engine.run(g, Apps.sssp(0L), Schedule.PowerG)
     // every iteration gathers all in-edges (|E|) and scatters all out-edges (|E|)
     r.stats.foreach(s => assert(s.edgeComputations == 2 * g.numEdges))
@@ -92,21 +93,21 @@ class GasEngineSpec extends SparkSpec {
   test("signaled GAS stops when the signal set drains") {
     // Chain 0->1->2: iter 1 settles vertex 1, iter 2 settles vertex 2 whose
     // scatter signals nobody — the loop exits right there.
-    val g = TestUtil.graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 1.0)), chunks = 2)
+    val g = TestUtil.graph(Seq((0L, 1L, 1.0), (1L, 2L, 1.0)), chunks = 2)
     val r = Engine.run(g, Apps.sssp(0L), Schedule.PowerL)
     assert(r.iterations == 2)
     assert(r.values == Map(0L -> 0.0, 1L -> 1.0, 2L -> 2.0))
   }
 
   test("dense GAS fails loudly if maxIters is insufficient") {
-    val g = figure1(spark)
+    val g = figure1()
     intercept[IllegalArgumentException] {
       Engine.run(g, Apps.sssp(0L), Schedule.PowerG, maxIters = 1)
     }
   }
 
   test("updates-per-vertex ordering on SSSP: baselines above SLFE (Table 2 shape)") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 350, 119))
+    val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(7, 350, 119))
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
     val powerL = Engine.run(g, Apps.sssp(root), Schedule.PowerL)

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.jdk.CollectionConverters._
 import repro.{SparkSpec, TestUtil}
 import repro.apps.Apps
 
@@ -7,7 +8,7 @@ import repro.apps.Apps
 class EdgeOpsSpec extends SparkSpec {
   import TestUtil._
 
-  private def g = figure1(spark)
+  private def g = figure1()
 
   private def srcsAll(values: Map[Long, Double]) =
     g.vertexIds.toSeq.map(v => (v, values.getOrElse(v, 0.0), g.outDeg(v)))
@@ -102,8 +103,8 @@ class EdgeOpsKernelSpec extends SparkSpec {
   test("aggregate matches a brute-force fold on random graphs; push and pull agree") {
     val rnd = new scala.util.Random(5)
     val gs = Seq(
-      PropertyGraph(spark, "rmat", chunks = 1)(GraphGen.rmatEdges(7, 500, 41)),
-      PropertyGraph(spark, "uniform", chunks = 1)(GraphGen.uniformEdges(80, 300, 42)))
+      PropertyGraph("rmat", chunks = 1)(GraphGen.rmatEdges(7, 500, 41)),
+      PropertyGraph("uniform", chunks = 1)(GraphGen.uniformEdges(80, 300, 42)))
     for (g <- gs) {
       val edges = collectEdges(g)
       val ids = g.vertexIds.toSeq
@@ -130,14 +131,14 @@ class EdgeOpsKernelSpec extends SparkSpec {
   }
 
   test("an aggregate call starts no Spark job") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 43))
+    val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(7, 300, 43))
     val srcs = g.vertexIds.toSeq.map(v => (v, 1.0, g.outDeg(v)))
     for (dsts <- Seq(None, Some(g.vertexIds.toSeq.take(10))))
       assert(sparkJobs(spark)(EdgeOps.aggregate(g, Apps.pagerank(), srcs, dsts))._2 == 0, dsts.isDefined)
   }
 
   test("a failing message fails the call with its type") {
-    val g = PropertyGraph(spark, chunks = 4)(GraphGen.rmatEdges(7, 300, 44))
+    val g = PropertyGraph(chunks = 4)(GraphGen.rmatEdges(7, 300, 44))
     val i = g.layout.outDeg.indexWhere(_ > 0)
     val v = g.vertexIds(i)
     val bad = Apps.cc.copy(msg = (srcVal, _, _) => {
@@ -153,8 +154,8 @@ class EdgeOpsKernelSpec extends SparkSpec {
   }
 
   test("concurrent engine runs match sequential runs") {
-    val gs = Seq(PropertyGraph(spark, "rmat", chunks = 4)(GraphGen.rmatEdges(8, 1200, 45)),
-      PropertyGraph(spark, "uniform", chunks = 3)(GraphGen.uniformEdges(150, 600, 46)))
+    val gs = Seq(PropertyGraph("rmat", chunks = 4)(GraphGen.rmatEdges(8, 1200, 45)),
+      PropertyGraph("uniform", chunks = 3)(GraphGen.uniformEdges(150, 600, 46)))
     val runs: Seq[() => RunResult] = gs.flatMap { g =>
       val root = g.maxOutDegVertex
       val rrg = RRGuidance.generate(g, Set(root))
@@ -177,8 +178,8 @@ class EdgeOpsKernelSpec extends SparkSpec {
   test("a buffer reused across pulls and pushes equals a fresh call; its receivers are the vertices with messages") {
     import java.util.BitSet
     val rnd = new scala.util.Random(9)
-    val gs = Seq(PropertyGraph(spark, "rmat", chunks = 4)(GraphGen.rmatEdges(8, 1200, 47)),
-      PropertyGraph(spark, "uniform", chunks = 3)(GraphGen.uniformEdges(150, 600, 48)))
+    val gs = Seq(PropertyGraph("rmat", chunks = 4)(GraphGen.rmatEdges(8, 1200, 47)),
+      PropertyGraph("uniform", chunks = 3)(GraphGen.uniformEdges(150, 600, 48)))
     for (g <- gs) {
       val n = g.numVertices.toInt
       val buf = new Messages(n)
@@ -211,7 +212,7 @@ class EdgeOpsKernelSpec extends SparkSpec {
 
   test("a message failing in one chunk or in every chunk fails the call with its own exception") {
     import java.util.BitSet
-    val g = PropertyGraph(spark, chunks = 4)(GraphGen.rmatEdges(7, 300, 49))
+    val g = PropertyGraph(chunks = 4)(GraphGen.rmatEdges(7, 300, 49))
     val l = g.layout
     val n = l.numVertices
     assert(l.blocks.forall(_.numEdges > 0))
@@ -230,8 +231,31 @@ class EdgeOpsKernelSpec extends SparkSpec {
     }
   }
 
+  test("a pull and a push run their chunk tasks on the caller and at most availableProcessors - 1 other threads") {
+    val g = PropertyGraph(chunks = 16)(GraphGen.rmatEdges(9, 3000, 50))
+    val l = g.layout
+    assert(l.numChunks == 16 && l.blocks.forall(_.numEdges > 0))
+    val values = g.vertexIds.map(_.toDouble)
+    for (pass <- Seq("pull", "push")) {
+      val threads = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
+      // A thread's first message holds its chunk a while, so that every
+      // thread the pass starts gets a chunk of its own.
+      val recording = Apps.cc.copy(msg = (srcVal, _, _) => {
+        if (threads.add(Thread.currentThread())) Thread.sleep(5)
+        srcVal
+      })
+      val m =
+        if (pass == "pull") EdgeOps.pull(g, recording, values, None)
+        else EdgeOps.push(g, recording, values, g.vertexIds.indices.toArray)
+      assert(m.edges == g.numEdges, pass)
+      threads.remove(Thread.currentThread())
+      assert(threads.size <= Runtime.getRuntime.availableProcessors - 1, s"$pass: $threads")
+      assert(threads.asScala.forall(_.getName == "edgeops-worker"), s"$pass: $threads")
+    }
+  }
+
   test("a source out-degree that disagrees with the graph fails loudly") {
-    val g = figure1(spark)
+    val g = figure1()
     intercept[IllegalArgumentException](EdgeOps.aggregate(g, Apps.pagerank(), Seq((0L, 1.0, 5L)), None))
   }
 }

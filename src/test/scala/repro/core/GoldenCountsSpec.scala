@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.bench.Harness
 import repro.graph.GraphGen.GraphSpec
 
@@ -12,7 +12,7 @@ import repro.graph.GraphGen.GraphSpec
   * each pull sum adds one destination's in-edges in a fixed order whatever
   * the chunk count. A refactor of the engines must leave every cell as is.
   */
-class GoldenCountsSpec extends SparkSpec {
+class GoldenCountsSpec extends AnyFunSuite {
 
   private val graphs = Seq(
     GraphSpec("G9", 9, 1500L, 301, 0.0, 0.0, 1, "RMAT"),
@@ -65,7 +65,7 @@ class GoldenCountsSpec extends SparkSpec {
 
   test("every engine reproduces its golden counts on every app") {
     val got = graphs.flatMap { spec =>
-      val p = Harness.prepare(spark, spec)
+      val p = Harness.prepare(spec)
       for (app <- Seq("SSSP", "CC", "WP", "PR", "TR"); system <- Seq("PowerG", "PowerL", "Gemini", "SLFE"))
         yield {
           val r = Harness.run(p, system, app)

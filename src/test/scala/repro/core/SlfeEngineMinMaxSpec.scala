@@ -19,20 +19,20 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("SSSP without RR reproduces the paper's Fig. 1 final distances") {
-    val g = figure1(spark)
+    val g = figure1()
     val r = Engine.run(g, Apps.sssp(0L), Schedule.Gemini)
     assert(r.values == Map(0L -> 0.0, 1L -> 1.0, 2L -> 2.0, 3L -> 2.0, 4L -> 3.0, 5L -> 4.0))
   }
 
   test("SSSP with RR reproduces the same Fig. 1 distances (Theorem 1)") {
-    val g = figure1(spark)
+    val g = figure1()
     val (_, withRR) = ssspBoth(g, 0L)
     assert(withRR.values == Map(0L -> 0.0, 1L -> 1.0, 2L -> 2.0, 3L -> 2.0, 4L -> 3.0, 5L -> 4.0))
   }
 
   test("SSSP matches Dijkstra on random RMAT graphs, with and without RR") {
     for (seed <- Seq(21L, 22L, 23L)) {
-      val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 150, seed))
+      val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(6, 150, seed))
       val root = g.maxOutDegVertex
       val expected = Reference.sssp(collectEdges(g), root)
       val (noRR, withRR) = ssspBoth(g, root)
@@ -42,7 +42,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("SSSP final distances match the DuckDB recursive oracle") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 70, 31))
+    val g = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(25, 70, 31))
     val root = g.maxOutDegVertex
     val r = Engine.run(g, Apps.sssp(root), Schedule.Gemini)
     val reachable = r.values.filter(_._2 < 1e17)
@@ -53,7 +53,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("SSSP with RR matches the DuckDB recursive oracle too") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 70, 32))
+    val g = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(25, 70, 32))
     val root = g.maxOutDegVertex
     val rrg = RRGuidance.generate(g, Set(root))
     val r = Engine.run(g, Apps.sssp(root), Schedule.Slfe(rrg))
@@ -65,7 +65,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("CC labels every vertex with its component minimum (vs union-find)") {
     for (seed <- Seq(41L, 42L)) {
-      val base = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(30, 45, seed))
+      val base = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(30, 45, seed))
       val g = base.symmetrize
       val expected = Reference.components(collectEdges(base)).map { case (k, v) => k -> v.toDouble }
       val rrg = RRGuidance.generate(g, Set(g.vertexIds.min))
@@ -77,7 +77,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("CC matches the DuckDB min-label closure oracle") {
-    val g = TestUtil.graph(spark,
+    val g = TestUtil.graph(
       Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (5L, 6L, 1.0), (7L, 5L, 1.0), (9L, 9L + 1, 1.0)), chunks = 4)
       .symmetrize
     val r = Engine.run(g, Apps.cc, Schedule.Gemini)
@@ -88,7 +88,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("WP matches the reference widest path, with and without RR") {
     for (seed <- Seq(51L, 52L)) {
-      val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(6, 180, seed))
+      val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(6, 180, seed))
       val root = g.maxOutDegVertex
       val expected = Reference.widestPath(collectEdges(g), root)
       val rrg = RRGuidance.generate(g, Set(root))
@@ -100,7 +100,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("WP matches the DuckDB max-min closure oracle") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 50, 61))
+    val g = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(20, 50, 61))
     val root = g.maxOutDegVertex
     val r = Engine.run(g, Apps.wp(root), Schedule.Gemini)
     Oracle.assertEquivalent(
@@ -111,7 +111,7 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("RR and no-RR converge to identical values on many seeds (Theorem 1)") {
     for (seed <- 71L to 75L) {
-      val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 55, seed))
+      val g = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(20, 55, seed))
       val root = g.maxOutDegVertex
       val (noRR, withRR) = ssspBoth(g, root)
       assert(noRR.values == withRR.values, s"seed=$seed")
@@ -120,20 +120,20 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
 
   test("SSSP starts in push mode from a single active root") {
     // A 25-edge chain: the root's one out-edge is 4% of |E|, below the switch.
-    val g = TestUtil.graph(spark, (0L until 25L).map(i => (i, i + 1, 1.0)), chunks = 4)
+    val g = TestUtil.graph((0L until 25L).map(i => (i, i + 1, 1.0)), chunks = 4)
     assert(g.outDeg(0L) <= Engine.DenseFraction * g.numEdges)
     val r = Engine.run(g, Apps.sssp(0L), Schedule.Gemini)
     assert(r.stats.head.mode == "push")
   }
 
   test("CC starts in pull mode with all vertices active") {
-    val g = figure1(spark).symmetrize
+    val g = figure1().symmetrize
     val r = Engine.run(g, Apps.cc, Schedule.Gemini)
     assert(r.stats.head.mode == "pull")
   }
 
   test("RR run ends with a clean all-active push verification pass") {
-    val g = figure1(spark)
+    val g = figure1()
     val rrg = RRGuidance.generate(g, Set(0L))
     val r = Engine.run(g, Apps.sssp(0L), Schedule.Slfe(rrg))
     val lastStat = r.stats.last
@@ -145,14 +145,14 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
     // fast-converging remainder could otherwise strand it (the case the
     // verification push exists for).
     val chain = (0 until 8).map(i => (100L + i, 101L + i, 1.0))
-    val g = TestUtil.graph(spark, Seq((0L, 100L, 1.0), (0L, 1L, 1.0)) ++ chain, chunks = 4)
+    val g = TestUtil.graph(Seq((0L, 100L, 1.0), (0L, 1L, 1.0)) ++ chain, chunks = 4)
     val rrg = RRGuidance.generate(g, Set(0L))
     val r = Engine.run(g, Apps.sssp(0L), Schedule.Slfe(rrg))
     assert(r.values(108L) == 9.0)
   }
 
   test("per-iteration computed vertices under RR never exceed the no-RR count") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 81))
+    val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(7, 300, 81))
     val root = g.maxOutDegVertex
     val (noRR, withRR) = ssspBoth(g, root)
     // Pull iterations without RR always compute every vertex; with RR the
@@ -164,21 +164,21 @@ class SlfeEngineMinMaxSpec extends SparkSpec {
   }
 
   test("updates-per-vertex is at least ~1 for reachable-heavy graphs (Table 2 metric)") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(7, 300, 82))
+    val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(7, 300, 82))
     val (noRR, _) = ssspBoth(g, g.maxOutDegVertex)
     assert(noRR.updatesPerVertex(g.numVertices) > 0.0)
     assert(noRR.totalUpdates >= noRR.values.count(_._2 < 1e17) - 1) // every reached vertex updated >= once
   }
 
   test("engine fails loudly when maxIters is too small") {
-    val g = figure1(spark)
+    val g = figure1()
     intercept[IllegalArgumentException] {
       Engine.run(g, Apps.sssp(0L), Schedule.Gemini, maxIters = 1)
     }
   }
 
   test("start late: SLFE pull iteration k computes exactly the vertices the guidance puts at lastIter k") {
-    val g = PropertyGraph(spark, chunks = 3)(GraphGen.rmatEdges(8, 1200, 24))
+    val g = PropertyGraph(chunks = 3)(GraphGen.rmatEdges(8, 1200, 24))
     val sym = g.symmetrize
     val root = g.maxOutDegVertex
     for ((graph, prog, r) <- Seq((g, Apps.sssp(root, unitWeight = true), root), (g, Apps.wp(root), root),

@@ -8,9 +8,9 @@ class EdgeLayoutSpec extends SparkSpec {
   import TestUtil._
 
   private def graphs: Seq[PropertyGraph] = Seq(
-    PropertyGraph(spark, "rmat", chunks = 5)(GraphGen.rmatEdges(7, 400, 31)),
-    PropertyGraph(spark, "uniform", chunks = 3)(GraphGen.uniformEdges(60, 250, 32)),
-    figure1(spark).symmetrize,
+    PropertyGraph("rmat", chunks = 5)(GraphGen.rmatEdges(7, 400, 31)),
+    PropertyGraph("uniform", chunks = 3)(GraphGen.uniformEdges(60, 250, 32)),
+    figure1().symmetrize,
   )
 
   test("chunks partition the dense index exactly and hold every edge once") {
@@ -31,8 +31,8 @@ class EdgeLayoutSpec extends SparkSpec {
 
   test("a symmetrized graph is laid out in its source's chunk count") {
     val spec = GraphGen.GraphSpec("R9", 9, 1500L, 35, 0.0, 0.0, 1, "RMAT")
-    for (g <- Seq(GraphGen.build(spark, spec), GraphGen.build(spark, spec, partitions = 3),
-                  PropertyGraph(spark, chunks = 6)(GraphGen.uniformEdges(40, 120, 36)))) {
+    for (g <- Seq(GraphGen.build(spec), GraphGen.build(spec, partitions = 3),
+                  PropertyGraph(chunks = 6)(GraphGen.uniformEdges(40, 120, 36)))) {
       assert(g.symmetrize.layout.numChunks == g.layout.numChunks, g.name)
       assert(g.symmetrize.numEdges > g.numEdges, g.name)
     }
@@ -41,8 +41,8 @@ class EdgeLayoutSpec extends SparkSpec {
   test("laying out a test graph starts no Spark job") {
     val sc = spark.sparkContext
     val before = sc.getPersistentRDDs.keySet
-    val (_, jobs) = sparkJobs(spark)(Seq(graph(spark, Seq((0L, 1L, 1.0), (1L, 2L, 2.0)), chunks = 2),
-      PropertyGraph(spark, chunks = 3)(GraphGen.rmatEdges(7, 300, 38)), figure1(spark).symmetrize))
+    val (_, jobs) = sparkJobs(spark)(Seq(graph(Seq((0L, 1L, 1.0), (1L, 2L, 2.0)), chunks = 2),
+      PropertyGraph(chunks = 3)(GraphGen.rmatEdges(7, 300, 38)), figure1().symmetrize))
     assert(jobs == 0 && sc.getPersistentRDDs.keySet == before)
   }
 
@@ -66,8 +66,8 @@ class EdgeLayoutSpec extends SparkSpec {
   test("symmetrizing a layout equals laying out the by-id symmetrized edges") {
     checkProp(Prop.forAll(Gen.choose(1, 9), Gen.choose(0L, 300L), Gen.choose(0L, 1000L), Gen.choose(1, 5)) {
       (scale: Int, nEdges: Long, seed: Long, chunks: Int) =>
-        symmetrizesLikeOracle(PropertyGraph(spark, "rmat", chunks)(GraphGen.rmatEdges(scale, nEdges, seed))) &&
-          symmetrizesLikeOracle(PropertyGraph(spark, "uniform", chunks)(GraphGen.uniformEdges(1L << scale, nEdges, seed)))
+        symmetrizesLikeOracle(PropertyGraph("rmat", chunks)(GraphGen.rmatEdges(scale, nEdges, seed))) &&
+          symmetrizesLikeOracle(PropertyGraph("uniform", chunks)(GraphGen.uniformEdges(1L << scale, nEdges, seed)))
     }, minSuccessful = 20)
     val otherNaN = java.lang.Double.longBitsToDouble(0x7ff8000000000abcL)
     val literals = Seq(
@@ -77,7 +77,7 @@ class EdgeLayoutSpec extends SparkSpec {
       Seq((1L, 2L, -0.0), (2L, 1L, 0.0), (1L, 2L, 0.0), (3L, 1L, Double.NaN), (1L, 3L, otherNaN), (3L, 1L, otherNaN)),
       Seq.empty)
     for (edges <- literals; chunks <- 1 to 5)
-      assert(symmetrizesLikeOracle(graph(spark, edges, chunks)), s"$edges in $chunks chunks")
+      assert(symmetrizesLikeOracle(graph(edges, chunks)), s"$edges in $chunks chunks")
   }
 
   test("a layout does not depend on the order of its edges") {
@@ -92,22 +92,24 @@ class EdgeLayoutSpec extends SparkSpec {
 
   test("a literal graph gets exactly the chunk count it asks for") {
     val edges = Seq((0L, 1L, 1.0), (1L, 2L, 1.0), (2L, 0L, 1.0))
-    for (k <- 1 to spark.sparkContext.defaultParallelism + 3) {
-      val l = graph(spark, edges, chunks = k).layout
+    for (k <- 1 to Runtime.getRuntime.availableProcessors + 3) {
+      val l = graph(edges, chunks = k).layout
       assert(l.numChunks == k && l.blocks.length == k && l.blocks.map(_.numEdges).sum == 3, s"$k chunks")
     }
   }
 
   test("the layout's edge list is the graph's edges") {
+    val s = spark
+    import s.implicits._
     graphs.foreach { g =>
-      val e = g.layout.edgeList
-      assert(e.src.indices.map(i => (e.src(i), e.dst(i), e.weight(i))).sorted == collectEdges(g).sorted, g.name)
+      val rows = g.edges.select($"src", $"dst", $"weight").as[(Long, Long, Double)].collect().toSeq
+      assert(rows == collectEdges(g), g.name)
       assert(g.edges.rdd.getNumPartitions == 1, g.name)
     }
   }
 
   test("an edgeless graph has an empty layout that the engines accept") {
-    val g = graph(spark, Seq.empty, chunks = 1)
+    val g = graph(Seq.empty, chunks = 1)
     assert(g.numVertices == 0 && g.numEdges == 0 && g.layout.blocks.length == g.layout.numChunks)
     val r = repro.core.Engine.run(g, repro.apps.Apps.cc, repro.core.Schedule.Gemini)
     assert(r.values.isEmpty && r.totalComputations == 0)
@@ -134,7 +136,7 @@ class EdgeLayoutSpec extends SparkSpec {
   }
 
   test("chunks balance in-edges: no chunk exceeds its share by more than one vertex's in-degree") {
-    val g = PropertyGraph(spark, "rmat", chunks = 4)(GraphGen.rmatEdges(9, 3000, 33))
+    val g = PropertyGraph("rmat", chunks = 4)(GraphGen.rmatEdges(9, 3000, 33))
     val l = g.layout
     val loads = l.blocks.map(_.numEdges)
     assert(loads.max <= g.numEdges / 4 + 1 + l.inDeg.max, loads.toSeq)
@@ -153,10 +155,10 @@ class EdgeLayoutSpec extends SparkSpec {
 
   test("vertex ids outside (-2^53, 2^53) are rejected with a clear message") {
     for (bad <- Seq(1L << 53, Long.MaxValue, -(1L << 53))) {
-      val e = intercept[IllegalArgumentException](graph(spark, Seq((1L, bad, 1.0)), chunks = 1))
+      val e = intercept[IllegalArgumentException](graph(Seq((1L, bad, 1.0)), chunks = 1))
       assert(e.getMessage.contains(s"vertex id $bad") && e.getMessage.contains("2^53"), e.getMessage)
     }
-    assert(graph(spark, Seq((0L, (1L << 53) - 1, 1.0)), chunks = 1).numVertices == 2)
+    assert(graph(Seq((0L, (1L << 53) - 1, 1.0)), chunks = 1).numVertices == 2)
   }
 
   test("VertexMap is a read-only view with Map semantics") {

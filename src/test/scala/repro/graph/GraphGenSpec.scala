@@ -74,10 +74,10 @@ class GraphGenSpec extends SparkSpec {
     val s = spark
     import s.implicits._
     // 1 -> 2 appears twice; 1 <-> 2 carry different weights in each direction.
-    val literal = graph(spark, Seq((1L, 2L, 5.0), (1L, 2L, 5.0), (2L, 1L, 3.0), (2L, 3L, 1.0), (4L, 4L, 2.0)),
+    val literal = graph(Seq((1L, 2L, 5.0), (1L, 2L, 5.0), (2L, 1L, 3.0), (2L, 3L, 1.0), (4L, 4L, 2.0)),
       chunks = 4)
-    val dense = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(12, 90, 5)) // many reciprocal pairs
-    for (g <- Seq(literal, dense, figure1(spark))) {
+    val dense = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(12, 90, 5)) // many reciprocal pairs
+    for (g <- Seq(literal, dense, figure1())) {
       val sql = g.edges.unionByName(g.edges.select($"dst" as "src", $"src" as "dst", $"weight")).distinct()
       assert(triples(g.symmetrize.layout.edgeList) == sql.as[Edge].collect().toSet, g.name)
       assert(collectEdges(g.symmetrize).toSet == sql.as[Edge].collect().toSet, g.name)
@@ -162,7 +162,7 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("rmat degree distribution is skewed (hub degree far above average)") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.rmatEdges(10, 4000, 17))
+    val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(10, 4000, 17))
     val maxDeg = g.outDeg.values.max
     val avg = g.numEdges.toDouble / g.numVertices
     assert(maxDeg > 3 * avg, s"maxDeg=$maxDeg avg=$avg")

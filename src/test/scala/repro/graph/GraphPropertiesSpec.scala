@@ -8,20 +8,20 @@ class GraphPropertiesSpec extends SparkSpec {
   import TestUtil._
 
   test("symmetrize preserves each direction's weight") {
-    val g = graph(spark, Seq((1L, 2L, 5.0)), chunks = 1)
+    val g = graph(Seq((1L, 2L, 5.0)), chunks = 1)
     val s = g.symmetrize
     val rows = s.edges.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSet
     assert(rows == Set((1L, 2L, 5.0), (2L, 1L, 5.0)))
   }
 
   test("vertexIds of a generated graph are exactly the edge endpoints") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(30, 60, 13))
+    val g = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(30, 60, 13))
     val eps = collectEdges(g).flatMap(e => Seq(e._1, e._2)).toSet
     assert(g.vertexIds.toSet == eps)
   }
 
   test("outNbrs sizes equal out-degrees everywhere") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 70, 14))
+    val g = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(25, 70, 14))
     g.vertexIds.foreach(v => assert(g.outNbrs(v).length.toLong == g.outDeg(v)))
   }
 
@@ -43,7 +43,7 @@ class GraphPropertiesSpec extends SparkSpec {
 
   test("datasets build() respects the requested partition count") {
     val spec = GraphGen.datasets.head
-    val g = GraphGen.build(spark, spec, partitions = 4)
+    val g = GraphGen.build(spec, partitions = 4)
     assert(g.layout.numChunks == 4 && g.symmetrize.layout.numChunks == 4)
   }
 }

@@ -5,7 +5,7 @@ import repro.{Oracle, SparkSpec, TestUtil}
 class PropertyGraphSpec extends SparkSpec {
   import TestUtil._
 
-  private def fig1 = figure1(spark)
+  private def fig1 = figure1()
 
   test("vertexIds are the distinct endpoints, sorted") {
     assert(fig1.vertexIds.toSeq == Seq(0L, 1L, 2L, 3L, 4L, 5L))
@@ -26,7 +26,7 @@ class PropertyGraphSpec extends SparkSpec {
   }
 
   test("degree sums both equal |E|") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(30, 90, 4))
+    val g = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(30, 90, 4))
     assert(g.outDeg.values.sum == g.numEdges)
     assert(g.inDeg.values.sum == g.numEdges)
   }
@@ -56,7 +56,7 @@ class PropertyGraphSpec extends SparkSpec {
 
   test("maxOutDegVertex picks the hub, smallest id on ties") {
     assert(fig1.maxOutDegVertex == 0L)
-    val tie = graph(spark, Seq((7L, 1L, 1.0), (3L, 2L, 1.0)), chunks = 2)
+    val tie = graph(Seq((7L, 1L, 1.0), (3L, 2L, 1.0)), chunks = 2)
     assert(tie.maxOutDegVertex == 3L)
   }
 
@@ -76,12 +76,12 @@ class PropertyGraphSpec extends SparkSpec {
   }
 
   test("symmetrize keeps the vertex set") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(25, 60, 8))
+    val g = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(25, 60, 8))
     assert(g.symmetrize.vertexIds.toSeq == g.vertexIds.toSeq)
   }
 
   test("the lifecycle calls perfbench makes keep the graph as it is") {
-    val g = PropertyGraph(spark, chunks = 1)(GraphGen.uniformEdges(20, 40, 1))
+    val g = PropertyGraph(chunks = 1)(GraphGen.uniformEdges(20, 40, 1))
     val (l, n, m) = (g.layout, g.numVertices, g.numEdges)
     assert(g.cached() eq g)
     g.unpersist()

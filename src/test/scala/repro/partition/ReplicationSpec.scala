@@ -8,7 +8,7 @@ import repro.graph.{GraphGen, PropertyGraph}
 class ReplicationSpec extends SparkSpec {
   import TestUtil._
 
-  private def skewed = PropertyGraph(spark, "rmat", chunks = 1)(GraphGen.rmatEdges(8, 800, 131))
+  private def skewed = PropertyGraph("rmat", chunks = 1)(GraphGen.rmatEdges(8, 800, 131))
 
   test("replication factors are at least 1 and at most k") {
     val g = skewed
@@ -17,7 +17,7 @@ class ReplicationSpec extends SparkSpec {
   }
 
   test("single machine means replication factor exactly 1") {
-    val g = figure1(spark)
+    val g = figure1()
     assert(Replication.randomVertexCut(g, 1) == 1.0)
     assert(Replication.hybridCut(g, 1, threshold = 2) == 1.0)
   }
@@ -34,7 +34,7 @@ class ReplicationSpec extends SparkSpec {
     // Spark SQL places each edge; DuckDB counts the distinct (vertex,
     // machine) pairs of that placement, which the factor times |V| must equal.
     import spark.implicits._
-    val g = figure1(spark)
+    val g = figure1()
     val k = 3
     val placed = g.edges.withColumn("node", pmod(hash(col("src"), col("dst"), lit(7)), lit(k)))
     val pairs = math.round(Replication.randomVertexCut(g, k) * g.numVertices)
@@ -62,8 +62,8 @@ class ReplicationSpec extends SparkSpec {
   }
 
   test("replication factors equal those of Spark SQL's placement") {
-    val gs = Seq(figure1(spark), skewed,
-      PropertyGraph(spark, "uniform", chunks = 3)(GraphGen.uniformEdges(60, 200, 132)))
+    val gs = Seq(figure1(), skewed,
+      PropertyGraph("uniform", chunks = 3)(GraphGen.uniformEdges(60, 200, 132)))
     for (g <- gs; k <- Seq(3, 8)) {
       assert(Replication.randomVertexCut(g, k) == sqlRandomVertexCut(g, k), s"${g.name} k=$k")
       for (t <- Seq(2L, 4 * math.max(g.numEdges / g.numVertices, 1L)))
@@ -74,7 +74,7 @@ class ReplicationSpec extends SparkSpec {
   test("hybrid-cut with huge threshold hashes everything by destination") {
     // All in-degrees below the threshold -> every dst's in-edges colocate;
     // replication then counts (dst-home + src appearances) only.
-    val g = figure1(spark)
+    val g = figure1()
     val rf = Replication.hybridCut(g, 4, threshold = Long.MaxValue)
     assert(rf >= 1.0 && rf <= 4.0)
   }
