@@ -21,14 +21,13 @@ object Apps {
     * late" premise). Weighted SSSP remains supported for generality.
     */
   def sssp(root: Long, unitWeight: Boolean = false): VertexProgram = VertexProgram(
-    name = "SSSP", agg = AggKind.Min, arith = false,
+    name = "SSSP", agg = AggKind.Min,
     initValue = v => if (v == root) 0.0 else Inf,
     initActive = _ == root,
     msg = if (unitWeight) (srcVal, _, _) => srcVal + 1.0
           else (srcVal, w, _) => srcVal + w,
     applyFn = (m, _) => m,
     improves = (cand, old) => cand < old,
-    noMsgAgg = Inf,
   )
 
   /** Connected Components: min-label propagation over the symmetrized graph
@@ -36,26 +35,24 @@ object Apps {
     * id as label.
     */
   val cc: VertexProgram = VertexProgram(
-    name = "CC", agg = AggKind.Min, arith = false,
+    name = "CC", agg = AggKind.Min,
     initValue = _.toDouble,
     initActive = _ => true,
     msg = (srcVal, _, _) => srcVal,
     applyFn = (m, _) => m,
     improves = (cand, old) => cand < old,
-    noMsgAgg = Inf,
   )
 
   /** Widest Path: max-aggregation of min(srcWidth, edgeWeight); the root's
     * width is Inf, unreached vertices stay at 0.
     */
   def wp(root: Long): VertexProgram = VertexProgram(
-    name = "WP", agg = AggKind.Max, arith = false,
+    name = "WP", agg = AggKind.Max,
     initValue = v => if (v == root) Inf else 0.0,
     initActive = _ == root,
     msg = (srcVal, w, _) => math.min(srcVal, w),
     applyFn = (m, _) => m,
     improves = (cand, old) => cand > old,
-    noMsgAgg = -Inf,
   )
 
   /** PageRank (paper Alg. 5): rank'(v) = 0.15 + 0.85 * sum of
@@ -63,31 +60,23 @@ object Apps {
     * Gemini's implementation.
     */
   def pagerank(eps: Double = 1e-9): VertexProgram = VertexProgram(
-    name = "PR", agg = AggKind.Sum, arith = true,
+    name = "PR", agg = AggKind.Sum,
     initValue = _ => 1.0,
     initActive = _ => true,
     msg = (srcVal, _, srcOutDeg) => srcVal / srcOutDeg,
     applyFn = (m, _) => 0.15 + 0.85 * m,
     improves = (cand, old) => math.abs(cand - old) > eps,
-    noMsgAgg = 0.0,
   )
 
   /** TunkRank-style influence: t'(v) = sum over followers u->v of
     * (1 + p*t(u)) / outDeg(u).
     */
   def tunkrank(p: Double = 0.5, eps: Double = 1e-9): VertexProgram = VertexProgram(
-    name = "TR", agg = AggKind.Sum, arith = true,
+    name = "TR", agg = AggKind.Sum,
     initValue = _ => 0.0,
     initActive = _ => true,
     msg = (srcVal, _, srcOutDeg) => (1.0 + p * srcVal) / srcOutDeg,
     applyFn = (m, _) => m,
     improves = (cand, old) => math.abs(cand - old) > eps,
-    noMsgAgg = 0.0,
-  )
-
-  /** All five, keyed by the names used in the paper's tables. */
-  def all(root: Long): Seq[(String, VertexProgram)] = Seq(
-    "SSSP" -> sssp(root), "CC" -> cc, "WP" -> wp(root),
-    "PR" -> pagerank(), "TR" -> tunkrank(),
   )
 }

@@ -25,10 +25,6 @@ object Harness {
     */
   val ArithEps = 1e-6
 
-  /** One benchmarked execution, with everything the tables need. */
-  final case class Cell(system: String, app: String, graph: String,
-                        seconds: Double, comps: Long, updates: Long, iters: Int)
-
   /** Everything derived once per dataset and shared across systems/apps. */
   final case class Prepared(spec: GraphGen.GraphSpec, g: PropertyGraph, sym: PropertyGraph,
                             root: Long, rrgDir: RRGuidance, rrgSym: RRGuidance)
@@ -72,23 +68,20 @@ object Harness {
     case "SLFE"   => Schedule.Slfe(rrg)
   }
 
-  /** Run one (system, app) on a prepared dataset. */
-  def run(p: Prepared, system: String, app: String): RunResult = {
-    val root = p.root
-    val prog = app match {
-      case "SSSP" => Apps.sssp(root, unitWeight = true) // evaluation graphs are unweighted
-      case "CC"   => Apps.cc
-      case "WP"   => Apps.wp(root)
-      case "PR"   => Apps.pagerank(eps = ArithEps)
-      case "TR"   => Apps.tunkrank(eps = ArithEps)
-    }
-    val (graph, rrg) = if (app == "CC") (p.sym, p.rrgSym) else (p.g, p.rrgDir)
-    Engine.run(graph, prog, schedule(system, rrg), if (prog.arith) ArithIters else Engine.MaxIters)
+  /** The program of `app` (SSSP, CC, WP, PR or TR) as the tables run it. */
+  private def program(app: String, root: Long): VertexProgram = app match {
+    case "SSSP" => Apps.sssp(root, unitWeight = true) // evaluation graphs are unweighted
+    case "CC"   => Apps.cc
+    case "WP"   => Apps.wp(root)
+    case "PR"   => Apps.pagerank(eps = ArithEps)
+    case "TR"   => Apps.tunkrank(eps = ArithEps)
   }
 
-  def cell(p: Prepared, system: String, app: String): Cell = {
-    val r = run(p, system, app)
-    Cell(system, app, p.spec.name, r.seconds, r.totalComputations, r.totalUpdates, r.iterations)
+  /** Run one (system, app) on a prepared dataset. */
+  def run(p: Prepared, system: String, app: String): RunResult = {
+    val prog = program(app, p.root)
+    val (graph, rrg) = if (app == "CC") (p.sym, p.rrgSym) else (p.g, p.rrgDir)
+    Engine.run(graph, prog, schedule(system, rrg), if (prog.arith) ArithIters else Engine.MaxIters)
   }
 
   /** Table 4: dataset statistics — paper's graphs vs the scaled stand-ins. */
@@ -136,20 +129,20 @@ object Harness {
       out(s"-- ${spec.name} (|V|=${p.g.numVertices}, |E|=${p.g.numEdges}, root=${p.root}, " +
         s"rrgMaxLevel=${p.rrgDir.maxLevel}) --")
       for (app <- apps) {
-        val arith = app == "PR" || app == "TR"
-        val cells = systems.map(s => cell(p, s, app))
-        // PR/TR systems converge in different iteration counts, so compare
+        val perIteration = program(app, p.root).arith
+        val runs = systems.map(s => run(p, s, app))
+        // Arithmetic runs converge in different iteration counts, so compare
         // per-iteration cost (the paper's Table 5 reports per-iteration
-        // runtime for them); min/max apps compare run totals.
-        def metric(c: Cell): Double =
-          if (arith) c.comps.toDouble / math.max(c.iters, 1) else c.comps.toDouble
-        val byName = cells.map(c => c.system -> c).toMap
-        val slfe = math.max(metric(byName("SLFE")), 1.0)
-        val supG = metric(byName("PowerG")) / slfe
-        val supL = metric(byName("PowerL")) / slfe
+        // runtime for PR/TR); min/max apps compare run totals.
+        def metric(r: RunResult): Double =
+          if (perIteration) r.totalComputations.toDouble / math.max(r.iterations, 1) else r.totalComputations.toDouble
+        val bySystem = runs.map(r => r.system -> r).toMap
+        val slfe = math.max(metric(bySystem("SLFE")), 1.0)
+        val supG = metric(bySystem("PowerG")) / slfe
+        val supL = metric(bySystem("PowerL")) / slfe
         speedupsG += supG; speedupsL += supL
-        out(f"$app%-5s " + cells.map(c =>
-          f"${c.system}=${metric(c) / 1e6}%8.4fM(${c.seconds * 1e3}%8.2fms,${c.iters}%3dit)").mkString(" ") +
+        out(f"$app%-5s " + runs.map(r =>
+          f"${r.system}=${metric(r) / 1e6}%8.4fM(${r.seconds * 1e3}%8.2fms,${r.iterations}%3dit)").mkString(" ") +
           f"  speedup vs PowerG=${supG}%6.2fx vs PowerL=${supL}%6.2fx")
       }
     }
@@ -188,9 +181,9 @@ object Harness {
       // Per-vertex load under RR: vertices start at lastIter, so early-start
       // vertices do more pull work — the skew stealing has to absorb.
       val l = p.g.layout
+      val lastIter = p.rrgDir.rulers(p.g).lastIter
       val loads = Seq.tabulate(l.numVertices) { i =>
-        val li = p.rrgDir.lastIterOf(l.ids(i))
-        (p.rrgDir.maxLevel + 1 - math.min(li, p.rrgDir.maxLevel)) * math.max(l.inDeg(i), 1).toLong
+        (p.rrgDir.maxLevel + 1 - math.min(lastIter(i), p.rrgDir.maxLevel)) * math.max(l.inDeg(i), 1).toLong
       }
       val costs = WorkStealing.chunkCosts(loads)
       val static = WorkStealing.staticSchedule(costs, threads = 8)

@@ -227,10 +227,10 @@ private[repro] object EdgeOps {
     */
   def initState(g: PropertyGraph, prog: VertexProgram, rrg: Option[RRGuidance]): Array[VState] = {
     val l = g.layout
+    val lastIter = rrg.map(_.rulers(g).lastIter)
     Array.tabulate(l.numVertices) { i =>
       val v = l.ids(i)
-      VState(v, prog.initValue(v), prog.initActive(v),
-        rrg.map(_.lastIterOf(v)).getOrElse(0), l.outDeg(i).toLong)
+      VState(v, prog.initValue(v), prog.initActive(v), lastIter.fold(0)(_(i)), l.outDeg(i).toLong)
     }
   }
 

@@ -62,8 +62,8 @@ object Schedule {
   * The driver's share of an iteration follows its frontier, as in Ligra's
   * `VertexSubset` and Gemini's sparse mode: the messages land in one
   * [[Messages]] buffer per run, a min/max apply walks only their receivers,
-  * and start-late's scheduled set is a slice of one counting sort by
-  * `lastIter`.
+  * and start-late's scheduled set is a slice of the guidance's vertex order
+  * by `lastIter`, sorted once per guidance ([[Rulers]]).
   */
 object Engine {
 
@@ -91,16 +91,11 @@ object Engine {
       if (prog.initActive(l.ids(i))) active.set(i)
       i += 1
     }
-    val lastIter = schedule match {
-      case Slfe(rrg) => rrg.lastIterOver(l, g.name)
-      case _         => new Array[Int](n)
+    // SLFE's rulers, resolved once per guidance; the other systems have none.
+    val rulers = schedule match {
+      case Slfe(rrg) => rrg.rulers(g)
+      case _         => null
     }
-    var maxLastIter = 0 // beyond it an SLFE min/max run only pushes
-    i = 0
-    while (i < n) { maxLastIter = math.max(maxLastIter, lastIter(i)); i += 1 }
-    // Start-late's schedule: the vertices with lastIter k are
-    // byLastIter(from(k) until from(k + 1)).
-    val (byLastIter, from) = bucketsOf(lastIter, maxLastIter)
     val scheduled = new BitSet(n)
     // Finish-early's vertices not yet frozen; freezing is permanent.
     val finishEarly = prog.arith && schedule.isInstanceOf[Slfe]
@@ -123,7 +118,7 @@ object Engine {
       val it0 = System.nanoTime()
       val push = !prog.arith && (schedule match {
         case Gemini  => outEdges(l, active) <= DenseFraction * l.numEdges
-        case Slfe(_) => verifying || iter > maxLastIter
+        case Slfe(_) => verifying || iter > rulers.maxLastIter
         case _       => false
       })
       // Alg. 3 lines 2-4: a vertex a pull skipped may hold updates its
@@ -135,8 +130,7 @@ object Engine {
         case (PowerL, false)  => Some(signalled)
         case (Slfe(_), false) =>
           scheduled.clear()
-          var k = from(iter)
-          while (k < from(iter + 1)) { scheduled.set(byLastIter(k)); k += 1 }
+          rulers.schedule(iter, scheduled)
           Some(scheduled)
         case (Slfe(_), true)  => Some(unfrozen)
         case _                => None
@@ -150,7 +144,7 @@ object Engine {
       active.clear()
       if (prog.arith) applyAll(prog, values, msgs, dsts, active)
       else applyReceivers(prog, values, msgs, active)
-      if (finishEarly) freeze(unfrozen, active, stable, lastIter)
+      if (finishEarly) freeze(unfrozen, active, stable, rulers.lastIter)
       val updates = active.cardinality.toLong
       val scatter = schedule match {
         case PowerG => l.numEdges
@@ -197,16 +191,17 @@ object Engine {
 
   /** Applies the messages of an arithmetic pull in place to the
     * destinations `dsts` (None: all), each of which takes its candidate,
-    * with the program's no-message aggregate if none arrived. Adds the
+    * aggregating Sum's identity 0 if no message arrived. Adds the
     * vertices whose value changed by more than eps to `updated`.
     */
   private def applyAll(prog: VertexProgram, values: Array[Double], msgs: Messages,
                        dsts: Option[BitSet], updated: BitSet): Unit = {
     val n = values.length
     val d = dsts.orNull
+    val zero = prog.agg.zero
     var i = if (d == null) 0 else d.nextSetBit(0)
     while (i >= 0 && i < n) {
-      val cand = prog.applyFn(if (msgs.received(i)) msgs.agg(i) else prog.noMsgAgg, values(i))
+      val cand = prog.applyFn(if (msgs.received(i)) msgs.agg(i) else zero, values(i))
       if (prog.improves(cand, values(i))) updated.set(i)
       values(i) = cand
       i = if (d == null) i + 1 else d.nextSetBit(i + 1)
@@ -226,20 +221,6 @@ object Engine {
       if (stable(i) >= math.max(lastIter(i), 1)) unfrozen.clear(i)
       i = unfrozen.nextSetBit(i + 1)
     }
-  }
-
-  /** Vertex indices ordered by `key` in `0..maxKey` (a stable counting
-    * sort), and where each key's run starts: key k's indices are
-    * `from(k) until from(k + 1)`.
-    */
-  private def bucketsOf(key: Array[Int], maxKey: Int): (Array[Int], Array[Int]) = {
-    val from = new Array[Int](maxKey + 2)
-    for (k <- key) from(k + 1) += 1
-    for (k <- 1 until from.length) from(k) += from(k - 1)
-    val next = from.clone()
-    val order = new Array[Int](key.length)
-    for (i <- key.indices) { order(next(key(i))) = i; next(key(i)) += 1 }
-    (order, from)
   }
 
   /** The members of `vs`, ascending. */

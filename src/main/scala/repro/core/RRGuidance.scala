@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{EdgeLayout, PropertyGraph, VertexMap}
+import repro.graph.{PropertyGraph, VertexMap}
 
 /** Redundancy-Reduction Guidance — the paper's preprocessing product.
   *
@@ -12,10 +12,11 @@ import repro.graph.{EdgeLayout, PropertyGraph, VertexMap}
   * `lastIter` are `Map` views that keep only the vertices reached and
   * touched.
   *
-  * Vertices never touched keep no `lastIter` entry; [[lastIterOf]] maps them
-  * to `maxLevel + 1`, a conservative bound: min/max apps merely start them
-  * late (the final verification push fixes any remainder) and arithmetic
-  * apps practically never freeze them, so correctness is preserved.
+  * Vertices never touched keep no `lastIter` entry; the [[Rulers]] that
+  * runs read give them `maxLevel + 1`, a conservative bound: min/max apps
+  * merely start them late (the final verification push fixes any
+  * remainder) and arithmetic apps practically never freeze them, so
+  * correctness is preserved.
   */
 final class RRGuidance private (
     graph: String,
@@ -30,21 +31,51 @@ final class RRGuidance private (
   val level: Map[Long, Int] = new VertexMap(ids, levels(_), levels(_) >= 0)
   val lastIter: Map[Long, Int] = new VertexMap(ids, lastIters(_), lastIters(_) > 0)
 
-  def lastIterOf(v: Long): Int = lastIter.getOrElse(v, maxLevel + 1)
-  def levelOf(v: Long): Int = level.getOrElse(v, -1)
+  // Built at the first run that reads them; every later run reuses them.
+  private lazy val resolved = new Rulers(lastIters, maxLevel)
 
-  /** [[lastIterOf]] of every vertex of `l`, by dense index. Fails unless `l`
-    * is the layout of the graph the guidance was generated on (same vertex
-    * ids and edge count), since an index of another graph would misread it.
+  /** The resolved `lastIter` of vertex `v`. Fails if `v` is not a vertex. */
+  def lastIterOf(v: Long): Int = {
+    val i = java.util.Arrays.binarySearch(ids, v)
+    require(i >= 0, s"$v is not a vertex of $graph")
+    resolved.lastIter(i)
+  }
+
+  /** The rulers that guide a run on `g`. Fails unless `g` is the graph the
+    * guidance was generated on (same vertex ids and edge count), since an
+    * index of another graph would misread them.
     */
-  private[core] def lastIterOver(l: EdgeLayout, name: String): Array[Int] = {
+  private[repro] def rulers(g: PropertyGraph): Rulers = {
+    val l = g.layout
     require(l.numEdges == numEdges && java.util.Arrays.equals(l.ids, ids),
       s"the guidance was generated on $graph (${ids.length} vertices, $numEdges edges) and cannot " +
-        s"guide a run on $name (${l.numVertices} vertices, ${l.numEdges} edges)")
-    val out = new Array[Int](lastIters.length)
-    var i = 0
-    while (i < out.length) { out(i) = if (lastIters(i) > 0) lastIters(i) else maxLevel + 1; i += 1 }
+        s"guide a run on ${g.name} (${l.numVertices} vertices, ${l.numEdges} edges)")
+    resolved
+  }
+}
+
+/** A guidance's rulers by dense index, from its `lastIters` (0: never
+  * touched): the resolved `lastIter`, its maximum, beyond which an SLFE
+  * min/max run only pushes, and start-late's schedule, a stable counting
+  * sort of the vertices by `lastIter` (k's at `order(from(k) until from(k + 1))`).
+  */
+private[repro] final class Rulers(lastIters: Array[Int], maxLevel: Int) {
+  val lastIter: Array[Int] = lastIters.map(k => if (k > 0) k else maxLevel + 1)
+  val maxLastIter: Int = lastIter.foldLeft(0)(math.max)
+  private val from = new Array[Int](maxLastIter + 2)
+  for (k <- lastIter) from(k + 1) += 1
+  for (k <- 1 until from.length) from(k) += from(k - 1)
+  private val order = {
+    val next = from.clone()
+    val out = new Array[Int](lastIter.length)
+    for (i <- lastIter.indices) { out(next(lastIter(i))) = i; next(lastIter(i)) += 1 }
     out
+  }
+
+  /** Adds the vertices with lastIter `k`, `k <= maxLastIter`, to `into`. */
+  def schedule(k: Int, into: java.util.BitSet): Unit = {
+    var j = from(k)
+    while (j < from(k + 1)) { into.set(order(j)); j += 1 }
   }
 }
 
@@ -106,6 +137,6 @@ object RRGuidance {
   }
 
   /** Frontier expansion as a vertex program: only its edge counts are read. */
-  private val Expand = VertexProgram("RRG", AggKind.Min, arith = false, _ => 0.0, _ => false,
-    (srcVal, _, _) => srcVal, (m, _) => m, (_, _) => false, 0.0)
+  private val Expand = VertexProgram("RRG", AggKind.Min, _ => 0.0, _ => false,
+    (srcVal, _, _) => srcVal, (m, _) => m, (_, _) => false)
 }

@@ -40,25 +40,27 @@ trait Message {
   * master-side apply step, plain Scala over the aggregated message, like a
   * Pregel master compute.
   *
+  * The aggregation alone fixes the class (paper Table 1): Sum programs
+  * finish early, and a vertex they compute without messages aggregates 0;
+  * min/max programs start late.
+  *
   * @param agg       aggregation combining all messages into a vertex
-  * @param arith     true for arithmetic (finish-early) applications
   * @param initValue initial vertex property
   * @param initActive initially active vertices (e.g. the SSSP root)
   * @param msg       per-edge message from (srcVal, weight, srcOutDeg)
   * @param applyFn   (aggregatedMsg, oldValue) => candidate new value
   * @param improves  (candidate, oldValue) => does this change the vertex
   *                  (min/max: strict improvement; arith: |delta| > eps)
-  * @param noMsgAgg  aggregate used when a computed vertex receives no
-  *                  message (Sum identity 0; min/max apps skip instead)
   */
 final case class VertexProgram(
     name: String,
     agg: AggKind,
-    arith: Boolean,
     initValue: Long => Double,
     initActive: Long => Boolean,
     msg: Message,
     applyFn: (Double, Double) => Double,
     improves: (Double, Double) => Boolean,
-    noMsgAgg: Double,
-)
+) {
+  /** Arithmetic (finish-early), not min/max (start-late). */
+  def arith: Boolean = agg == AggKind.Sum
+}

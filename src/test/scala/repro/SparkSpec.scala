@@ -20,12 +20,11 @@ trait SparkSpec extends AnyFunSuite {
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .master("local[*]")
       .appName("repro")
       // Test inputs are tiny: eight shuffle partitions keep each oracle
       // query's shuffles short.
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "8"))
+      .config("spark.sql.shuffle.partitions", "8")
       .getOrCreate()
     // One line in test output that tells whether the driver heap came from
     // SPARK_DRIVER_MEM, and whether the engines' edge passes, one thread per

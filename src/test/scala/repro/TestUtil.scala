@@ -49,8 +49,11 @@ object TestUtil {
 
   /** The graph of literal (src, dst, weight) triples, in `chunks` chunks. */
   def graph(edges: Seq[(Long, Long, Double)], chunks: Int, name: String = "t"): PropertyGraph =
-    PropertyGraph(name, chunks)(new EdgeList(edges.map(_._1).toArray, edges.map(_._2).toArray,
-      edges.map(_._3).toArray))
+    PropertyGraph(name, chunks)(edgeList(edges))
+
+  /** Literal (src, dst, weight) triples as an [[EdgeList]]. */
+  def edgeList(edges: Seq[(Long, Long, Double)]): EdgeList =
+    new EdgeList(edges.map(_._1).toArray, edges.map(_._2).toArray, edges.map(_._3).toArray)
 
   /** The by-id symmetrization that `EdgeLayout.symmetrize` replaced, the
     * oracle for it: `e` plus its reverses, stably sorted by (src, dst), each
@@ -80,10 +83,13 @@ object TestUtil {
   /** Paper Fig. 1 example graph (final SSSP dists 0,1,2,2,3,4 from V0), in
     * four chunks, so that even this tiny graph runs the multi-chunk path.
     */
-  def figure1(): PropertyGraph = graph(Seq(
+  def figure1(): PropertyGraph = graph(figure1Edges, chunks = 4, name = "fig1")
+
+  /** The edges of [[figure1]]. */
+  val figure1Edges: Seq[(Long, Long, Double)] = Seq(
     (0L, 1L, 1.0), (0L, 3L, 2.0), (1L, 2L, 1.0),
     (3L, 4L, 2.0), (2L, 4L, 1.0), (4L, 5L, 1.0),
-  ), chunks = 4, name = "fig1")
+  )
 
   /** A vertex->value map as a two-column DataFrame. */
   def valuesDF(spark: SparkSession, m: Map[Long, Double], valueCol: String): DataFrame = {

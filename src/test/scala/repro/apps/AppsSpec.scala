@@ -50,7 +50,7 @@ class AppsSpec extends AnyFunSuite {
 
   test("TR apply is the raw aggregate with zero default") {
     val p = Apps.tunkrank()
-    assert(p.applyFn(2.5, 7.0) == 2.5 && p.noMsgAgg == 0.0)
+    assert(p.applyFn(2.5, 7.0) == 2.5 && p.agg.zero == 0.0)
   }
 
   test("message functions compute the per-edge messages") {
@@ -62,9 +62,5 @@ class AppsSpec extends AnyFunSuite {
     assert(eval(Apps.wp(0L)) == 3.0)              // min(srcVal, w)
     assert(eval(Apps.pagerank()) == 2.0)          // srcVal / outDeg
     assert(eval(Apps.tunkrank()) == (1.0 + 0.5 * 4.0) / 2) // (1 + p*srcVal)/outDeg
-  }
-
-  test("all(root) exposes the five paper applications in table order") {
-    assert(Apps.all(0L).map(_._1) == Seq("SSSP", "CC", "WP", "PR", "TR"))
   }
 }

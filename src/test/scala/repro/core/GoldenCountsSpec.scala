@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.apps.Apps
 import repro.bench.Harness
 import repro.graph.GraphGen.GraphSpec
 
@@ -11,6 +12,8 @@ import repro.graph.GraphGen.GraphSpec
   * Counts are deterministic: min/max aggregates do not depend on order, and
   * each pull sum adds one destination's in-edges in a fixed order whatever
   * the chunk count. A refactor of the engines must leave every cell as is.
+  * Table 2's weighted SSSP, which `Harness.run` does not run, is pinned
+  * the same way, run as `Harness.table2` runs it.
   */
 class GoldenCountsSpec extends AnyFunSuite {
 
@@ -63,19 +66,44 @@ class GoldenCountsSpec extends AnyFunSuite {
     ("G8", "TR", "SLFE")     -> (22, 14928L, 3223L, 2670L),
   )
 
-  test("every engine reproduces its golden counts on every app") {
-    val got = graphs.flatMap { spec =>
-      val p = Harness.prepare(spec)
-      for (app <- Seq("SSSP", "CC", "WP", "PR", "TR"); system <- Seq("PowerG", "PowerL", "Gemini", "SLFE"))
-        yield {
-          val r = Harness.run(p, system, app)
-          (spec.name, app, system) ->
-            (r.iterations, r.totalComputations, r.totalVertexComputations, r.totalUpdates)
-        }
-    }
-    assert(got.map(_._1).toSet == golden.keySet)
-    val diff = got.filterNot { case (k, v) => golden(k) == v }
+  /** Table 2's weighted SSSP, (graph, system) -> (iterations, edge comps,
+    * vertex comps, updates).
+    */
+  private val goldenWeighted: Map[(String, String), (Int, Long, Long, Long)] = Map(
+    ("G9", "PowerG") -> (7, 21000L, 2450L, 447L),
+    ("G9", "PowerL") -> (7, 8306L, 804L, 447L),
+    ("G9", "Gemini") -> (7, 9002L, 2038L, 447L),
+    ("G9", "SLFE")   -> (10, 4046L, 1024L, 420L),
+    ("G8", "PowerG") -> (7, 9800L, 1302L, 204L),
+    ("G8", "PowerL") -> (6, 3475L, 390L, 204L),
+    ("G8", "Gemini") -> (7, 4200L, 1085L, 204L),
+    ("G8", "SLFE")   -> (10, 1690L, 476L, 179L),
+  )
+
+  private lazy val prepared = graphs.map(Harness.prepare(_))
+
+  private def counts(r: RunResult): (Int, Long, Long, Long) =
+    (r.iterations, r.totalComputations, r.totalVertexComputations, r.totalUpdates)
+
+  private def assertGolden[K](got: Seq[(K, (Int, Long, Long, Long))], table: Map[K, (Int, Long, Long, Long)]): Unit = {
+    assert(got.map(_._1).toSet == table.keySet)
+    val diff = got.filterNot { case (k, v) => table(k) == v }
     if (diff.nonEmpty) fail("cells differ from the table:\n" + diff.map { case (k, v) =>
-      s"$k: got $v, table ${golden(k)}" }.mkString("\n"))
+      s"$k: got $v, table ${table(k)}" }.mkString("\n"))
+  }
+
+  test("every engine reproduces its golden counts on every app") {
+    assertGolden(prepared.flatMap { p =>
+      for (app <- Seq("SSSP", "CC", "WP", "PR", "TR"); system <- Seq("PowerG", "PowerL", "Gemini", "SLFE"))
+        yield (p.spec.name, app, system) -> counts(Harness.run(p, system, app))
+    }, golden)
+  }
+
+  test("every engine reproduces its golden counts on Table 2's weighted SSSP") {
+    assertGolden(prepared.flatMap { p =>
+      Seq(Schedule.PowerG, Schedule.PowerL, Schedule.Gemini, Schedule.Slfe(p.rrgDir)).map { s =>
+        (p.spec.name, s.name) -> counts(Engine.run(p.g, Apps.sssp(p.root), s))
+      }
+    }, goldenWeighted)
   }
 }

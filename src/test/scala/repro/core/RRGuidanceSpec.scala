@@ -39,8 +39,18 @@ class RRGuidanceSpec extends SparkSpec {
   test("unreached vertices get the conservative lastIter maxLevel+1") {
     val g = graph(Seq((0L, 1L, 1.0), (2L, 3L, 1.0)), chunks = 2)
     val r = RRGuidance.generate(g, Set(0L))
-    assert(r.levelOf(3L) == -1)
+    assert(!r.level.contains(3L))
     assert(r.lastIterOf(3L) == r.maxLevel + 1)
+  }
+
+  test("lastIterOf fails loudly on an id that is not a vertex") {
+    val g = graph(Seq((0L, 1L, 1.0), (2L, 3L, 1.0)), chunks = 2)
+    val r = RRGuidance.generate(g, Set(0L))
+    for (v <- Seq(4L, -1L, Long.MaxValue)) {
+      val e = intercept[IllegalArgumentException](r.lastIterOf(v))
+      assert(e.getMessage.contains(s"$v is not a vertex of t"), e.getMessage)
+    }
+    assert(r.lastIterOf(1L) == 1 && r.lastIterOf(0L) == r.maxLevel + 1)
   }
 
   test("multi-root generation starts all roots at level 0") {

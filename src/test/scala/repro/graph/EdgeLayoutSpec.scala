@@ -7,11 +7,16 @@ import repro.{SparkSpec, TestUtil}
 class EdgeLayoutSpec extends SparkSpec {
   import TestUtil._
 
-  private def graphs: Seq[PropertyGraph] = Seq(
-    PropertyGraph("rmat", chunks = 5)(GraphGen.rmatEdges(7, 400, 31)),
-    PropertyGraph("uniform", chunks = 3)(GraphGen.uniformEdges(60, 250, 32)),
-    figure1().symmetrize,
-  )
+  /** The test graphs, each with the edges it holds by definition: the
+    * generators' output, or the by-id oracle's symmetrization of figure 1.
+    */
+  private def withInputs: Seq[(PropertyGraph, EdgeList)] = {
+    val (rmat, uniform) = (GraphGen.rmatEdges(7, 400, 31), GraphGen.uniformEdges(60, 250, 32))
+    Seq(PropertyGraph("rmat", chunks = 5)(rmat) -> rmat, PropertyGraph("uniform", chunks = 3)(uniform) -> uniform,
+      figure1().symmetrize -> oracleSymmetrize(edgeList(figure1Edges)))
+  }
+
+  private def graphs: Seq[PropertyGraph] = withInputs.map(_._1)
 
   test("chunks partition the dense index exactly and hold every edge once") {
     // A symmetrized graph has its source's chunk count.
@@ -116,9 +121,10 @@ class EdgeLayoutSpec extends SparkSpec {
   }
 
   test("each block's CSC and CSR hold exactly the edges into its chunk") {
-    graphs.foreach { g =>
+    withInputs.foreach { case (g, input) =>
       val l = g.layout
-      val edges = collectEdges(g).map { case (s, d, w) => (l.indexOf(s), l.indexOf(d), w) }
+      val edges = input.src.indices.map(e => (l.indexOf(input.src(e)), l.indexOf(input.dst(e)), input.weight(e)))
+      assert(edges.size == l.numEdges && edges.forall(e => e._1 >= 0 && e._2 >= 0), g.name)
       l.blocks.foreach { b =>
         val csc = for (d <- b.lo until b.hi; e <- b.inOff(d - b.lo) until b.inOff(d - b.lo + 1))
           yield (b.inSrc(e), d, b.inW(e))
