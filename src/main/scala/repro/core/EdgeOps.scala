@@ -22,6 +22,10 @@ final case class VState(
   * `agg(i)` is meaningful only where `count(i) > 0`. The vertices that
   * received a message are listed too, so a caller can walk them alone.
   *
+  * After a gather-and-apply pull ([[EdgeOps.pullApply]]) the receivers are
+  * instead the destinations whose value changed, and `agg` and `count` hold
+  * nothing of that call.
+  *
   * One buffer serves a whole run: each call first clears the receivers of
   * the call before, so reusing it costs the frontier, not `n`.
   */
@@ -84,9 +88,11 @@ final class Messages(n: Int) {
   * claim chunks from one counter until none is left, and the caller waits
   * for the ones still running. Pull walks the CSC in-edges of the selected
   * destinations; push walks the CSR out-edges of the active sources, as in
-  * Gemini's dense and sparse modes. Chunks own disjoint destination ranges,
-  * so each one writes its aggregates, counts and receivers straight into the
-  * call's [[Messages]].
+  * Gemini's dense and sparse modes. Each aggregation has its own pull and
+  * push loop. Chunks own disjoint destination ranges, so each one writes its
+  * aggregates, counts and receivers straight into the call's [[Messages]],
+  * and a Sum pull can apply each destination inside its chunk task
+  * ([[pullApply]]).
   */
 private[repro] object EdgeOps {
 
@@ -164,13 +170,35 @@ private[repro] object EdgeOps {
     * goes to `into`, cleared first, if given.
     */
   def pull(g: PropertyGraph, prog: VertexProgram, values: Array[Double],
-           dsts: Option[BitSet], into: Messages = null): Messages = {
+           dsts: Option[BitSet], into: Messages = null): Messages =
+    gather(g, prog, values, null, dsts, into)
+
+  /** Gather-and-apply, the pull of a Sum program: each destination in
+    * `dsts` (None: all) gathers as [[pull]] does and, as soon as its gather
+    * ends, applies the sum to its value in `values`, writing the candidate
+    * to `next(d)` (Gemini's `next` beside `curr`). The receivers of `into`
+    * are then the destinations whose candidate `improves` their value;
+    * `agg` and `count` are left as they were.
+    */
+  def pullApply(g: PropertyGraph, prog: VertexProgram, values: Array[Double], next: Array[Double],
+                dsts: Option[BitSet], into: Messages = null): Messages = {
+    require(prog.agg == AggKind.Sum, s"${prog.name}: gather-and-apply needs a Sum program")
+    require(next.length == values.length && (next ne values), "next must be a second array of n values")
+    gather(g, prog, values, next, dsts, into)
+  }
+
+  private def gather(g: PropertyGraph, prog: VertexProgram, values: Array[Double], next: Array[Double],
+                     dsts: Option[BitSet], into: Messages): Messages = {
     val l = g.layout
     require(values.length == l.numVertices)
     val m = buffer(l, into)
     if (dsts.exists(_.isEmpty)) return none(m)
-    val (msg, agg, d) = (prog.msg, prog.agg, dsts.orNull)
-    perChunk(l, m)(pullBlock(_, _, _, msg, agg, values, d, m))
+    val (msg, d) = (prog.msg, dsts.orNull)
+    perChunk(l, m)(prog.agg match {
+      case AggKind.Min => pullMin(_, _, _, msg, values, d, m)
+      case AggKind.Max => pullMax(_, _, _, msg, values, d, m)
+      case AggKind.Sum => pullSum(_, _, _, prog, values, next, d, m)
+    })
   }
 
   /** Push: the sources `srcs` (dense indices) send their value in `values`
@@ -183,8 +211,12 @@ private[repro] object EdgeOps {
     require(values.length == l.numVertices)
     val m = buffer(l, into)
     if (srcs.isEmpty) return none(m)
-    val (msg, agg) = (prog.msg, prog.agg)
-    perChunk(l, m)(pushBlock(_, _, _, msg, agg, values, srcs, m))
+    val msg = prog.msg
+    perChunk(l, m)(prog.agg match {
+      case AggKind.Min => pushMin(_, _, _, msg, values, srcs, m)
+      case AggKind.Max => pushMax(_, _, _, msg, values, srcs, m)
+      case AggKind.Sum => pushSum(_, _, _, msg, values, srcs, m)
+    })
   }
 
   /** Aggregate messages into destinations, by vertex id.
@@ -236,38 +268,103 @@ private[repro] object EdgeOps {
 
   private def none(m: Messages): Messages = { m.clear(); m }
 
-  private def pullBlock(b: EdgeBlock, ends: Array[Int], c: Int, msg: Message, agg: AggKind,
-                        values: Array[Double], dsts: BitSet, m: Messages): Long = {
+  // One pull loop and one push loop per aggregation, chosen once per call:
+  // each calls its kind's `combine` statically, so the JIT inlines it, and
+  // each `msg` call site sees only the messages of its own kind's programs.
+
+  private def pullMin(b: EdgeBlock, ends: Array[Int], c: Int, msg: Message,
+                      values: Array[Double], dsts: BitSet, m: Messages): Long = {
+    val (inOff, inSrc, inW, deg) = (b.inOff, b.inSrc, b.inW, b.outDeg)
+    val (lo, hi) = (b.lo, b.hi)
     val (acc, cnt, recv) = (m.agg, m.count, m.recv)
-    var k = b.lo
+    var k = lo
     var edges = 0L
-    var d = if (dsts == null) b.lo else dsts.nextSetBit(b.lo)
-    while (d >= 0 && d < b.hi) {
-      val j = d - b.lo
-      var a = agg.zero
-      var e = b.inOff(j)
-      val end = b.inOff(j + 1)
-      val n = end - e
+    var d = if (dsts == null) lo else dsts.nextSetBit(lo)
+    while (d >= 0 && d < hi) {
+      var a = Double.PositiveInfinity
+      val start = inOff(d - lo)
+      val end = inOff(d - lo + 1)
+      var e = start
       while (e < end) {
-        val s = b.inSrc(e)
-        a = agg.combine(a, msg(values(s), b.inW(e), b.outDeg(s)))
+        val s = inSrc(e)
+        a = AggKind.Min.combine(a, msg(values(s), inW(e), deg(s)))
         e += 1
       }
-      if (n > 0) {
-        acc(d) = a
-        cnt(d) = n
-        recv(k) = d
-        k += 1
-        edges += n
-      }
+      val n = end - start
+      if (n > 0) { acc(d) = a; cnt(d) = n; recv(k) = d; k += 1; edges += n }
       d = if (dsts == null) d + 1 else dsts.nextSetBit(d + 1)
     }
     ends(c) = k
     edges
   }
 
-  private def pushBlock(b: EdgeBlock, ends: Array[Int], c: Int, msg: Message, agg: AggKind,
-                        values: Array[Double], srcs: Array[Int], m: Messages): Long = {
+  private def pullMax(b: EdgeBlock, ends: Array[Int], c: Int, msg: Message,
+                      values: Array[Double], dsts: BitSet, m: Messages): Long = {
+    val (inOff, inSrc, inW, deg) = (b.inOff, b.inSrc, b.inW, b.outDeg)
+    val (lo, hi) = (b.lo, b.hi)
+    val (acc, cnt, recv) = (m.agg, m.count, m.recv)
+    var k = lo
+    var edges = 0L
+    var d = if (dsts == null) lo else dsts.nextSetBit(lo)
+    while (d >= 0 && d < hi) {
+      var a = Double.NegativeInfinity
+      val start = inOff(d - lo)
+      val end = inOff(d - lo + 1)
+      var e = start
+      while (e < end) {
+        val s = inSrc(e)
+        a = AggKind.Max.combine(a, msg(values(s), inW(e), deg(s)))
+        e += 1
+      }
+      val n = end - start
+      if (n > 0) { acc(d) = a; cnt(d) = n; recv(k) = d; k += 1; edges += n }
+      d = if (dsts == null) d + 1 else dsts.nextSetBit(d + 1)
+    }
+    ends(c) = k
+    edges
+  }
+
+  /** The Sum pull, both plain and gather-and-apply: after a destination's
+    * in-edge loop it either records the sum (`next == null`) or applies it
+    * ([[pullApply]]).
+    */
+  private def pullSum(b: EdgeBlock, ends: Array[Int], c: Int, prog: VertexProgram,
+                      values: Array[Double], next: Array[Double], dsts: BitSet, m: Messages): Long = {
+    val (inOff, inSrc, inW, deg) = (b.inOff, b.inSrc, b.inW, b.outDeg)
+    val (lo, hi) = (b.lo, b.hi)
+    val (acc, cnt, recv) = (m.agg, m.count, m.recv)
+    val (msg, applyFn, improves) = (prog.msg, prog.applyFn, prog.improves)
+    var k = lo
+    var edges = 0L
+    var d = if (dsts == null) lo else dsts.nextSetBit(lo)
+    while (d >= 0 && d < hi) {
+      var a = 0.0
+      val start = inOff(d - lo)
+      val end = inOff(d - lo + 1)
+      var e = start
+      while (e < end) {
+        val s = inSrc(e)
+        a = AggKind.Sum.combine(a, msg(values(s), inW(e), deg(s)))
+        e += 1
+      }
+      val n = end - start
+      edges += n
+      if (next != null) {
+        // It reads `values` and writes `next`, so no chunk reads a value
+        // another chunk wrote in this pass.
+        val cand = applyFn(a, values(d))
+        if (improves(cand, values(d))) { recv(k) = d; k += 1 }
+        next(d) = cand
+      } else if (n > 0) { acc(d) = a; cnt(d) = n; recv(k) = d; k += 1 }
+      d = if (dsts == null) d + 1 else dsts.nextSetBit(d + 1)
+    }
+    ends(c) = k
+    edges
+  }
+
+  private def pushMin(b: EdgeBlock, ends: Array[Int], c: Int, msg: Message,
+                      values: Array[Double], srcs: Array[Int], m: Messages): Long = {
+    val (outOff, outDst, outW, deg) = (b.outOff, b.outDst, b.outW, b.outDeg)
     val (acc, cnt, recv) = (m.agg, m.count, m.recv)
     var k = b.lo
     var edges = 0L
@@ -275,17 +372,68 @@ private[repro] object EdgeOps {
     while (i < srcs.length) {
       val s = srcs(i)
       val v = values(s)
-      var e = b.outOff(s)
-      val end = b.outOff(s + 1)
+      val ds = deg(s)
+      var e = outOff(s)
+      val end = outOff(s + 1)
       edges += end - e
       while (e < end) {
-        val d = b.outDst(e)
-        val x = msg(v, b.outW(e), b.outDeg(s))
-        if (cnt(d) == 0) {
-          acc(d) = agg.combine(agg.zero, x)
-          recv(k) = d
-          k += 1
-        } else acc(d) = agg.combine(acc(d), x)
+        val d = outDst(e)
+        if (cnt(d) == 0) { acc(d) = Double.PositiveInfinity; recv(k) = d; k += 1 }
+        acc(d) = AggKind.Min.combine(acc(d), msg(v, outW(e), ds))
+        cnt(d) += 1
+        e += 1
+      }
+      i += 1
+    }
+    ends(c) = k
+    edges
+  }
+
+  private def pushMax(b: EdgeBlock, ends: Array[Int], c: Int, msg: Message,
+                      values: Array[Double], srcs: Array[Int], m: Messages): Long = {
+    val (outOff, outDst, outW, deg) = (b.outOff, b.outDst, b.outW, b.outDeg)
+    val (acc, cnt, recv) = (m.agg, m.count, m.recv)
+    var k = b.lo
+    var edges = 0L
+    var i = 0
+    while (i < srcs.length) {
+      val s = srcs(i)
+      val v = values(s)
+      val ds = deg(s)
+      var e = outOff(s)
+      val end = outOff(s + 1)
+      edges += end - e
+      while (e < end) {
+        val d = outDst(e)
+        if (cnt(d) == 0) { acc(d) = Double.NegativeInfinity; recv(k) = d; k += 1 }
+        acc(d) = AggKind.Max.combine(acc(d), msg(v, outW(e), ds))
+        cnt(d) += 1
+        e += 1
+      }
+      i += 1
+    }
+    ends(c) = k
+    edges
+  }
+
+  private def pushSum(b: EdgeBlock, ends: Array[Int], c: Int, msg: Message,
+                      values: Array[Double], srcs: Array[Int], m: Messages): Long = {
+    val (outOff, outDst, outW, deg) = (b.outOff, b.outDst, b.outW, b.outDeg)
+    val (acc, cnt, recv) = (m.agg, m.count, m.recv)
+    var k = b.lo
+    var edges = 0L
+    var i = 0
+    while (i < srcs.length) {
+      val s = srcs(i)
+      val v = values(s)
+      val ds = deg(s)
+      var e = outOff(s)
+      val end = outOff(s + 1)
+      edges += end - e
+      while (e < end) {
+        val d = outDst(e)
+        if (cnt(d) == 0) { acc(d) = 0.0; recv(k) = d; k += 1 }
+        acc(d) = AggKind.Sum.combine(acc(d), msg(v, outW(e), ds))
         cnt(d) += 1
         e += 1
       }

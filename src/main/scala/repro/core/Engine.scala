@@ -34,11 +34,16 @@ object Schedule {
 }
 
 /** The one iteration loop of every system, over Gemini's dense vertex
-  * arrays (paper §3.1): values are one `Array[Double]` updated in place,
-  * vertex sets are `BitSet`s, and the rulers are `Array[Int]`s. Each
-  * iteration picks its work from the [[Schedule]], runs one
-  * [[EdgeOps.pull]] or [[EdgeOps.push]], applies the messages, records an
-  * [[IterationStat]] and tests for the end.
+  * arrays (paper §3.1): values are an `Array[Double]`, vertex sets are
+  * `BitSet`s, and the rulers are `Array[Int]`s. Each iteration picks its
+  * work from the [[Schedule]], runs one [[EdgeOps.pull]] or
+  * [[EdgeOps.push]], applies the messages, records an [[IterationStat]]
+  * and tests for the end. A min/max apply updates the values in place, on
+  * the driver: applied inside a task, it would let one chunk read a value
+  * another chunk changed in the same iteration, and move the counts. An
+  * arithmetic pull applies inside its chunk tasks instead
+  * ([[EdgeOps.pullApply]]), writing a second array that is swapped in after
+  * the pass (Gemini's `curr`/`next`).
   *
   * - Min/max programs run to their fixpoint. A vertex applies only the
   *   messages it received and keeps its value unless they improve it.
@@ -62,8 +67,9 @@ object Schedule {
   * The driver's share of an iteration follows its frontier, as in Ligra's
   * `VertexSubset` and Gemini's sparse mode: the messages land in one
   * [[Messages]] buffer per run, a min/max apply walks only their receivers,
-  * and start-late's scheduled set is a slice of the guidance's vertex order
-  * by `lastIter`, sorted once per guidance ([[Rulers]]).
+  * an arithmetic pull lists only the vertices it changed, and start-late's
+  * scheduled set is a slice of the guidance's vertex order by `lastIter`,
+  * sorted once per guidance ([[Rulers]]).
   */
 object Engine {
 
@@ -83,7 +89,7 @@ object Engine {
     val t0 = System.nanoTime()
     val l = g.layout
     val n = l.numVertices
-    val values = new Array[Double](n)
+    var values = new Array[Double](n)
     val active = new BitSet(n) // updated by the last iteration
     var i = 0
     while (i < n) {
@@ -106,6 +112,8 @@ object Engine {
     val signals = schedule == PowerL && !prog.arith
     val signalled = new BitSet(n)
     if (signals) { outNbrs(l, active, signalled); signalled.or(active) }
+    // An arithmetic pull's candidates; it becomes `values` after the pass.
+    var spare = if (prog.arith) values.clone() else null
     val msgs = new Messages(n)
     val stats = Vector.newBuilder[IterationStat]
     var iter = 0
@@ -137,14 +145,18 @@ object Engine {
       }
       val e0 = System.nanoTime()
       if (push) EdgeOps.push(g, prog, values, members(active), msgs)
+      else if (prog.arith) EdgeOps.pullApply(g, prog, values, spare, dsts, msgs)
       else EdgeOps.pull(g, prog, values, dsts, into = msgs)
       val edgeNanos = System.nanoTime() - e0
       val computed = if (push) msgs.receivers else dsts.fold(n)(_.cardinality)
       if (!push && computed < n) needsVerify = true
       active.clear()
-      if (prog.arith) applyAll(prog, values, msgs, dsts, active)
-      else applyReceivers(prog, values, msgs, active)
-      if (finishEarly) freeze(unfrozen, active, stable, rulers.lastIter)
+      if (prog.arith) {
+        var k = 0
+        while (k < msgs.receivers) { active.set(msgs.receiver(k)); k += 1 }
+        val t = values; values = spare; spare = t
+      } else applyReceivers(prog, values, msgs, active)
+      if (finishEarly) freeze(unfrozen, active, stable, rulers.lastIter, values, spare)
       val updates = active.cardinality.toLong
       val scatter = schedule match {
         case PowerG => l.numEdges
@@ -189,36 +201,19 @@ object Engine {
     }
   }
 
-  /** Applies the messages of an arithmetic pull in place to the
-    * destinations `dsts` (None: all), each of which takes its candidate,
-    * aggregating Sum's identity 0 if no message arrived. Adds the
-    * vertices whose value changed by more than eps to `updated`.
-    */
-  private def applyAll(prog: VertexProgram, values: Array[Double], msgs: Messages,
-                       dsts: Option[BitSet], updated: BitSet): Unit = {
-    val n = values.length
-    val d = dsts.orNull
-    val zero = prog.agg.zero
-    var i = if (d == null) 0 else d.nextSetBit(0)
-    while (i >= 0 && i < n) {
-      val cand = prog.applyFn(if (msgs.received(i)) msgs.agg(i) else zero, values(i))
-      if (prog.improves(cand, values(i))) updated.set(i)
-      values(i) = cand
-      i = if (d == null) i + 1 else d.nextSetBit(i + 1)
-    }
-  }
-
   /** Extends the stable streak of each vertex in `unfrozen`, the ones this
     * iteration computed, or restarts it if the vertex is in `updated`; then
     * drops the vertices whose streak reached their `lastIter` (at least 1):
-    * finish-early's early-converged vertices.
+    * finish-early's early-converged vertices. No later pull writes a frozen
+    * vertex, so its value is copied from `values` into `spare`, which the
+    * next swap makes the values.
     */
   private def freeze(unfrozen: BitSet, updated: BitSet, stable: Array[Int],
-                     lastIter: Array[Int]): Unit = {
+                     lastIter: Array[Int], values: Array[Double], spare: Array[Double]): Unit = {
     var i = unfrozen.nextSetBit(0)
     while (i >= 0) {
       stable(i) = if (updated.get(i)) 0 else stable(i) + 1
-      if (stable(i) >= math.max(lastIter(i), 1)) unfrozen.clear(i)
+      if (stable(i) >= math.max(lastIter(i), 1)) { unfrozen.clear(i); spare(i) = values(i) }
       i = unfrozen.nextSetBit(i + 1)
     }
   }

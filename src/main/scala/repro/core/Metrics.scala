@@ -7,7 +7,10 @@ package repro.core
   * it also includes its modelled change-blind scatter. `updates` counts
   * vertex property writes that changed the value (paper Table 2). `nanos`
   * is the iteration's wall time and `edgeNanos` the part of it spent in the
-  * edge pass ([[EdgeOps]]); the rest is the driver's own work.
+  * edge pass ([[EdgeOps]]); the rest is the driver's own work. An
+  * arithmetic pull applies each destination inside its chunk task
+  * ([[EdgeOps.pullApply]]), so its apply counts as edge time; a min/max
+  * apply runs on the driver, outside `edgeNanos`.
   */
 final case class IterationStat(
     iter: Int,

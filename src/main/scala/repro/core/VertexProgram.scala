@@ -26,7 +26,10 @@ object AggKind {
 /** The per-edge message of a vertex program, evaluated by the chunk tasks
   * over the edge blocks. A function literal `(srcVal, w, deg) => ...`
   * converts to it; its primitive signature keeps the edge loops unboxed.
-  * Tasks of concurrent calls may run it at once, so it must be pure.
+  * [[EdgeOps]] has one pull loop and one push loop per [[AggKind]], so each
+  * call site of a message sees one aggregation's programs only (Min: SSSP,
+  * CC and RRG's frontier expansion; Max: WP; Sum: PR and TR). Tasks of
+  * concurrent calls may run it at once, so it must be pure.
   */
 trait Message {
   def apply(srcVal: Double, weight: Double, srcOutDeg: Long): Double
@@ -36,9 +39,10 @@ trait Message {
   * (pushFunc, pullFunc, vertexFunc) triple (Table 3, Alg. 4/5).
   *
   * `msg` is evaluated per edge over the partitioned edge blocks — the
-  * heavy, parallel part. `applyFn`/`improves` are the per-vertex
-  * master-side apply step, plain Scala over the aggregated message, like a
-  * Pregel master compute.
+  * heavy, parallel part. `applyFn`/`improves` are the per-vertex apply
+  * step over the aggregated message: the driver runs it for min/max
+  * programs, and the chunk tasks for Sum programs, as each destination's
+  * gather ends, so there it must be pure too.
   *
   * The aggregation alone fixes the class (paper Table 1): Sum programs
   * finish early, and a vertex they compute without messages aggregates 0;

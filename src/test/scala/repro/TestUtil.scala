@@ -1,9 +1,11 @@
 package repro
 
+import java.util.BitSet
 import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.scalacheck.{Prop, Test => SCTest}
+import repro.core.{EdgeOps, Messages, Schedule, VertexProgram}
 import repro.graph.{EdgeList, PropertyGraph}
 
 /** Shared helpers for the test suites: ScalaCheck runner (scalatestplus is
@@ -90,6 +92,66 @@ object TestUtil {
     (0L, 1L, 1.0), (0L, 3L, 2.0), (1L, 2L, 1.0),
     (3L, 4L, 2.0), (2L, 4L, 1.0), (4L, 5L, 1.0),
   )
+
+  /** An arithmetic run as `core.Engine.run` made it before its pulls
+    * applied inside their chunk tasks: a plain `EdgeOps.pull` into a reused
+    * buffer, then [[applyAll]] on the caller into the one value array, and
+    * SLFE's freezing. The oracle for gather-and-apply. Returns the values
+    * by dense index and, per iteration, the computed vertices, the edges
+    * gathered and the updates.
+    */
+  def gatherThenApply(g: PropertyGraph, prog: VertexProgram, schedule: Schedule,
+                      maxIters: Int): (Array[Double], Seq[(Long, Long, Long)]) = {
+    val l = g.layout
+    val n = l.numVertices
+    val values = Array.tabulate(n)(i => prog.initValue(l.ids(i)))
+    val lastIter = schedule match {
+      case Schedule.Slfe(rrg) => rrg.rulers(g).lastIter
+      case _                  => null
+    }
+    val unfrozen = new BitSet(n)
+    unfrozen.set(0, n)
+    val stable = new Array[Int](n)
+    val msgs = new Messages(n)
+    val stats = Seq.newBuilder[(Long, Long, Long)]
+    var iter = 0
+    var done = false
+    while (!done && iter < maxIters) {
+      iter += 1
+      val dsts = if (lastIter == null) None else Some(unfrozen)
+      val computed = dsts.fold(n)(_.cardinality)
+      EdgeOps.pull(g, prog, values, dsts, msgs)
+      val updated = new BitSet(n)
+      applyAll(prog, values, msgs, dsts, updated)
+      if (lastIter != null)
+        for (i <- (0 until n).filter(unfrozen.get)) {
+          stable(i) = if (updated.get(i)) 0 else stable(i) + 1
+          if (stable(i) >= math.max(lastIter(i), 1)) unfrozen.clear(i)
+        }
+      stats += ((computed.toLong, msgs.edges, updated.cardinality.toLong))
+      done = updated.isEmpty
+    }
+    (values, stats.result())
+  }
+
+  /** The serial apply of an arithmetic pull, in place, to the destinations
+    * `dsts` (None: all): each takes its candidate, aggregating the Sum
+    * identity 0 if no message arrived, and those that changed by more than
+    * eps are added to `updated`.
+    */
+  def applyAll(prog: VertexProgram, values: Array[Double], msgs: Messages,
+               dsts: Option[BitSet], updated: BitSet): Unit = {
+    val n = values.length
+    val d = dsts.orNull
+    val zero = prog.agg.zero
+    var i = if (d == null) 0 else d.nextSetBit(0)
+    while (i >= 0 && i < n) {
+      val cand = prog.applyFn(if (msgs.received(i)) msgs.agg(i) else zero, values(i))
+      if (prog.improves(cand, values(i))) updated.set(i)
+      values(i) = cand
+      i = if (d == null) i + 1 else d.nextSetBit(i + 1)
+    }
+  }
 
   /** A vertex->value map as a two-column DataFrame. */
   def valuesDF(spark: SparkSession, m: Map[Long, Double], valueCol: String): DataFrame = {

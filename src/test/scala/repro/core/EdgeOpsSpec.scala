@@ -102,9 +102,14 @@ class EdgeOpsKernelSpec extends SparkSpec {
 
   test("aggregate matches a brute-force fold on random graphs; push and pull agree") {
     val rnd = new scala.util.Random(5)
+    // Each edge list in one chunk and in several, so that every chunk
+    // boundary of the pull and push loops is crossed.
     val gs = Seq(
       PropertyGraph("rmat", chunks = 1)(GraphGen.rmatEdges(7, 500, 41)),
-      PropertyGraph("uniform", chunks = 1)(GraphGen.uniformEdges(80, 300, 42)))
+      PropertyGraph("uniform", chunks = 1)(GraphGen.uniformEdges(80, 300, 42)),
+      PropertyGraph("rmat-4", chunks = 4)(GraphGen.rmatEdges(7, 500, 41)),
+      PropertyGraph("uniform-3", chunks = 3)(GraphGen.uniformEdges(80, 300, 42)))
+    assert(gs.drop(2).forall(_.layout.blocks.count(_.numEdges > 0) > 1))
     for (g <- gs) {
       val edges = collectEdges(g)
       val ids = g.vertexIds.toSeq

@@ -11,6 +11,29 @@ import repro.graph.{GraphGen, PropertyGraph, Reference}
 class SlfeEngineArithSpec extends SparkSpec {
   import TestUtil._
 
+  test("gather-and-apply equals gather-then-apply bit for bit under every schedule, freezing included") {
+    val g = PropertyGraph("rmat", chunks = 6)(GraphGen.rmatEdges(9, 4000, 94))
+    val l = g.layout
+    assert(l.numChunks >= 4 && l.blocks.count(_.numEdges > 0) >= 4)
+    val rrg = RRGuidance.generate(g, Set(g.maxOutDegVertex))
+    for (prog <- Seq(Apps.pagerank(eps = 1e-6), Apps.tunkrank(eps = 1e-6));
+         schedule <- Seq(Schedule.PowerG, Schedule.PowerL, Schedule.Gemini, Schedule.Slfe(rrg))) {
+      val clue = s"${prog.name} ${schedule.name}"
+      val r = Engine.run(g, prog, schedule)
+      val (values, stats) = gatherThenApply(g, prog, schedule, Engine.MaxIters)
+      assert(r.stats.map(s => (s.computedVertices, s.updates)) == stats.map(s => (s._1, s._3)), clue)
+      // PowerG and PowerL add their modelled scatter to the edges gathered.
+      if (schedule == Schedule.Gemini || schedule.isInstanceOf[Schedule.Slfe])
+        assert(r.stats.map(_.edgeComputations) == stats.map(_._2), clue)
+      // SLFE froze vertices, and its run went on after they froze.
+      if (schedule.isInstanceOf[Schedule.Slfe])
+        assert(r.stats.init.exists(_.computedVertices < l.numVertices), clue)
+      for (i <- 0 until l.numVertices)
+        assert(java.lang.Double.doubleToRawLongBits(r.values(l.ids(i))) ==
+          java.lang.Double.doubleToRawLongBits(values(i)), s"$clue at ${l.ids(i)}: ${r.values(l.ids(i))} vs ${values(i)}")
+    }
+  }
+
   test("PR without RR equals the reference power iteration exactly in shape") {
     val g = PropertyGraph(chunks = 1)(GraphGen.rmatEdges(6, 150, 91))
     val iters = 10
