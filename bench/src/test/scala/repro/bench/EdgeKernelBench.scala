@@ -2,7 +2,7 @@ package repro.bench
 
 import java.util.BitSet
 import repro.apps.Apps
-import repro.core.{EdgeOps, Messages, VertexProgram}
+import repro.core.{EdgeOps, Messages, Streaks, VertexProgram}
 import repro.graph.GraphGen
 
 /** The edge layer alone: microseconds per call of `EdgeOps.pull` and
@@ -11,7 +11,9 @@ import repro.graph.GraphGen
   * Each program pulls into all destinations and into every other one, and
   * pushes from its root and from every vertex; a Sum program also pulls
   * with its apply (`EdgeOps.pullApply`, the call its engine iterations
-  * make). Every case of every program is first run [[Warm]] times, so that
+  * make), over every vertex and with finish-early streaks that keep every
+  * other vertex frozen (the even ones sit at their threshold, the odd ones
+  * never reach theirs). Every case of every program is first run [[Warm]] times, so that
   * each loop has seen every program it serves, as in a benchmark pass; a
   * cell is then the median over [[Rounds]] rounds of the mean of [[Calls]]
   * calls. Values are the programs' initial ones. Run it alone with
@@ -41,18 +43,22 @@ class EdgeKernelBench extends BenchBase {
         Case("pull-half", () => EdgeOps.pull(g, prog, values, Some(half), buf)),
         Case("push-one", () => EdgeOps.push(g, prog, values, Array(g.layout.indexOf(p.root)), buf)),
         Case("push-all", () => EdgeOps.push(g, prog, values, all, buf))) ++
-        (if (prog.arith) Seq(Case("apply-all", () => EdgeOps.pullApply(g, prog, values, next, None, buf)))
-         else Nil)
+        (if (prog.arith) {
+          val halfFrozen = new Streaks(Array.tabulate(n)(i => 1 - i % 2),
+            Array.tabulate(n)(i => if (i % 2 == 0) 1 else Int.MaxValue))
+          Seq(Case("apply-all", () => EdgeOps.pullApply(g, prog, values, next, None, buf)),
+            Case("apply-half-frozen", () => EdgeOps.pullApply(g, prog, values, next, Some(halfFrozen), buf)))
+        } else Nil)
       (s"${p.spec.name} ${prog.name}", cases)
     }
     for ((_, cases) <- rows; c <- cases; _ <- 1 to Warm) c.call()
 
-    val names = Seq("pull-all", "pull-half", "push-one", "push-all", "apply-all")
+    val names = Seq("pull-all", "pull-half", "push-one", "push-all", "apply-all", "apply-half-frozen")
     emit("== Edge kernels: microseconds per call, reused Messages ==")
-    emit(f"${"cell"}%-8s " + names.map(s => f"$s%10s").mkString(" "))
+    emit(f"${"cell"}%-8s " + names.map(s => f"$s%17s").mkString(" "))
     for ((cell, cases) <- rows) {
       val us = cases.map(c => c.name -> micros(c.call)).toMap
-      emit(f"$cell%-8s " + names.map(s => us.get(s).fold(f"${"-"}%10s")(u => f"$u%10.1f")).mkString(" "))
+      emit(f"$cell%-8s " + names.map(s => us.get(s).fold(f"${"-"}%17s")(u => f"$u%17.1f")).mkString(" "))
     }
   }
 

@@ -81,6 +81,13 @@ final class Messages(n: Int) {
   }
 }
 
+/** Finish-early's rulers for a gather-and-apply pull ([[EdgeOps.pullApply]]),
+  * by dense index: `stable(i)` counts vertex `i`'s computed applies in a
+  * row that left it unchanged, and `i` is frozen once it reaches
+  * `freezeAt(i)`. The pull updates `stable`; `freezeAt` is only read.
+  */
+private[repro] final class Streaks(val stable: Array[Int], val freezeAt: Array[Int])
+
 /** The edge half of every engine: messages over the graph's partitioned
   * edge blocks ([[repro.graph.EdgeLayout]]), combined per destination. As in
   * Gemini's single-node runtime, a call runs one task per chunk: the caller
@@ -91,8 +98,8 @@ final class Messages(n: Int) {
   * Gemini's dense and sparse modes. Each aggregation has its own pull and
   * push loop. Chunks own disjoint destination ranges, so each one writes its
   * aggregates, counts and receivers straight into the call's [[Messages]],
-  * and a Sum pull can apply each destination inside its chunk task
-  * ([[pullApply]]).
+  * and a Sum pull can apply each destination, and keep its finish-early
+  * streak, inside its chunk task ([[pullApply]]).
   */
 private[repro] object EdgeOps {
 
@@ -170,25 +177,7 @@ private[repro] object EdgeOps {
     * goes to `into`, cleared first, if given.
     */
   def pull(g: PropertyGraph, prog: VertexProgram, values: Array[Double],
-           dsts: Option[BitSet], into: Messages = null): Messages =
-    gather(g, prog, values, null, dsts, into)
-
-  /** Gather-and-apply, the pull of a Sum program: each destination in
-    * `dsts` (None: all) gathers as [[pull]] does and, as soon as its gather
-    * ends, applies the sum to its value in `values`, writing the candidate
-    * to `next(d)` (Gemini's `next` beside `curr`). The receivers of `into`
-    * are then the destinations whose candidate `improves` their value;
-    * `agg` and `count` are left as they were.
-    */
-  def pullApply(g: PropertyGraph, prog: VertexProgram, values: Array[Double], next: Array[Double],
-                dsts: Option[BitSet], into: Messages = null): Messages = {
-    require(prog.agg == AggKind.Sum, s"${prog.name}: gather-and-apply needs a Sum program")
-    require(next.length == values.length && (next ne values), "next must be a second array of n values")
-    gather(g, prog, values, next, dsts, into)
-  }
-
-  private def gather(g: PropertyGraph, prog: VertexProgram, values: Array[Double], next: Array[Double],
-                     dsts: Option[BitSet], into: Messages): Messages = {
+           dsts: Option[BitSet], into: Messages = null): Messages = {
     val l = g.layout
     require(values.length == l.numVertices)
     val m = buffer(l, into)
@@ -197,8 +186,37 @@ private[repro] object EdgeOps {
     perChunk(l, m)(prog.agg match {
       case AggKind.Min => pullMin(_, _, _, msg, values, d, m)
       case AggKind.Max => pullMax(_, _, _, msg, values, d, m)
-      case AggKind.Sum => pullSum(_, _, _, prog, values, next, d, m)
+      case AggKind.Sum => pullSum(_, _, _, msg, values, d, m)
     })
+  }
+
+  /** Gather-and-apply, the pull of a Sum program: every destination gathers
+    * as [[pull]] does and, as soon as its gather ends, applies the sum to its
+    * value in `values`, writing the candidate to `next(d)` (Gemini's `next`
+    * beside `curr`). The receivers of `into`, cleared first, are then the
+    * destinations whose candidate `improves` their value; `agg` and `count`
+    * are left as they were.
+    *
+    * With `streaks`, finish-early's rulers (Alg. 5's `vertexUpdate`), a
+    * destination whose stable streak has reached its threshold is frozen: it
+    * only copies `values(d)` into `next(d)`, so its value outlives the swap.
+    * Every other destination restarts its streak at 0 if its value changed
+    * and extends it by one if not. Returns the number of destinations
+    * computed, the frozen ones left out.
+    */
+  def pullApply(g: PropertyGraph, prog: VertexProgram, values: Array[Double], next: Array[Double],
+                streaks: Option[Streaks], into: Messages): Int = {
+    require(prog.agg == AggKind.Sum, s"${prog.name}: gather-and-apply needs a Sum program")
+    val l = g.layout
+    require(values.length == l.numVertices)
+    require(next.length == values.length && (next ne values), "next must be a second array of n values")
+    for (s <- streaks)
+      require(s.stable.length == values.length && s.freezeAt.length == values.length, "streaks must hold n values")
+    val (stable, freezeAt) = (streaks.map(_.stable).orNull, streaks.map(_.freezeAt).orNull)
+    val m = buffer(l, into)
+    val computed = new Array[Int](l.numChunks)
+    perChunk(l, m)(applySum(_, _, _, prog, values, next, stable, freezeAt, computed, m))
+    computed.sum
   }
 
   /** Push: the sources `srcs` (dense indices) send their value in `values`
@@ -324,16 +342,11 @@ private[repro] object EdgeOps {
     edges
   }
 
-  /** The Sum pull, both plain and gather-and-apply: after a destination's
-    * in-edge loop it either records the sum (`next == null`) or applies it
-    * ([[pullApply]]).
-    */
-  private def pullSum(b: EdgeBlock, ends: Array[Int], c: Int, prog: VertexProgram,
-                      values: Array[Double], next: Array[Double], dsts: BitSet, m: Messages): Long = {
+  private def pullSum(b: EdgeBlock, ends: Array[Int], c: Int, msg: Message,
+                      values: Array[Double], dsts: BitSet, m: Messages): Long = {
     val (inOff, inSrc, inW, deg) = (b.inOff, b.inSrc, b.inW, b.outDeg)
     val (lo, hi) = (b.lo, b.hi)
     val (acc, cnt, recv) = (m.agg, m.count, m.recv)
-    val (msg, applyFn, improves) = (prog.msg, prog.applyFn, prog.improves)
     var k = lo
     var edges = 0L
     var d = if (dsts == null) lo else dsts.nextSetBit(lo)
@@ -348,17 +361,53 @@ private[repro] object EdgeOps {
         e += 1
       }
       val n = end - start
-      edges += n
-      if (next != null) {
-        // It reads `values` and writes `next`, so no chunk reads a value
-        // another chunk wrote in this pass.
-        val cand = applyFn(a, values(d))
-        if (improves(cand, values(d))) { recv(k) = d; k += 1 }
-        next(d) = cand
-      } else if (n > 0) { acc(d) = a; cnt(d) = n; recv(k) = d; k += 1 }
+      if (n > 0) { acc(d) = a; cnt(d) = n; recv(k) = d; k += 1; edges += n }
       d = if (dsts == null) d + 1 else dsts.nextSetBit(d + 1)
     }
     ends(c) = k
+    edges
+  }
+
+  /** The loop of [[pullApply]] over the block's whole destination range;
+    * `stable == null` when no destination freezes. It reads `values` and
+    * writes `next`, so no chunk reads a value another chunk wrote in this
+    * pass, and each chunk writes only its own range of `next` and `stable`.
+    * Sets `computed(c)` to the destinations it computed.
+    */
+  private def applySum(b: EdgeBlock, ends: Array[Int], c: Int, prog: VertexProgram,
+                       values: Array[Double], next: Array[Double], stable: Array[Int],
+                       freezeAt: Array[Int], computed: Array[Int], m: Messages): Long = {
+    val (inOff, inSrc, inW, deg) = (b.inOff, b.inSrc, b.inW, b.outDeg)
+    val (lo, hi) = (b.lo, b.hi)
+    val recv = m.recv
+    val (msg, applyFn, improves) = (prog.msg, prog.applyFn, prog.improves)
+    var k = lo
+    var edges = 0L
+    var frozen = 0
+    var d = lo
+    while (d < hi) {
+      if (stable != null && stable(d) >= freezeAt(d)) { next(d) = values(d); frozen += 1 }
+      else {
+        var a = 0.0
+        val start = inOff(d - lo)
+        val end = inOff(d - lo + 1)
+        var e = start
+        while (e < end) {
+          val s = inSrc(e)
+          a = AggKind.Sum.combine(a, msg(values(s), inW(e), deg(s)))
+          e += 1
+        }
+        edges += end - start
+        val cand = applyFn(a, values(d))
+        val changed = improves(cand, values(d))
+        if (changed) { recv(k) = d; k += 1 }
+        next(d) = cand
+        if (stable != null) stable(d) = if (changed) 0 else stable(d) + 1
+      }
+      d += 1
+    }
+    ends(c) = k
+    computed(c) = hi - lo - frozen
     edges
   }
 

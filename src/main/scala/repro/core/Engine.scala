@@ -43,7 +43,9 @@ object Schedule {
   * another chunk changed in the same iteration, and move the counts. An
   * arithmetic pull applies inside its chunk tasks instead
   * ([[EdgeOps.pullApply]]), writing a second array that is swapped in after
-  * the pass (Gemini's `curr`/`next`).
+  * the pass (Gemini's `curr`/`next`), and keeps SLFE's finish-early streaks
+  * there too, so an arithmetic iteration has no serial pass over the
+  * vertices.
   *
   * - Min/max programs run to their fixpoint. A vertex applies only the
   *   messages it received and keeps its value unless they improve it.
@@ -56,9 +58,10 @@ object Schedule {
   *   iteration changes no vertex by more than the program's eps, or for at
   *   most `maxIters` iterations. A computed vertex always takes its
   *   candidate, so changes below eps still accumulate. SLFE computes a
-  *   vertex only while its stable streak is below its `lastIter`, clamped
-  *   to >= 1 so that pure sources apply once ("finish early",
-  *   `pullEdge_multiRuler` and Alg. 5's `vertexUpdate`).
+  *   vertex only while its stable streak is below its `lastIter`, which is
+  *   at least 1, so that pure sources apply once ("finish early",
+  *   `pullEdge_multiRuler` and Alg. 5's `vertexUpdate`); each pull's chunk
+  *   tasks keep the streaks of their own destinations.
   *
   * `run` with [[Schedule.Slfe]] is the paper's `edgeProc(pushFunc,
   * pullFunc, activeVerts, Ruler)` API (Table 3): the program supplies the
@@ -90,11 +93,13 @@ object Engine {
     val l = g.layout
     val n = l.numVertices
     var values = new Array[Double](n)
-    val active = new BitSet(n) // updated by the last iteration
+    // A min/max run's frontier: the vertices the last iteration updated. An
+    // arithmetic run pulls every vertex and keeps none.
+    val active = if (prog.arith) null else new BitSet(n)
     var i = 0
     while (i < n) {
       values(i) = prog.initValue(l.ids(i))
-      if (prog.initActive(l.ids(i))) active.set(i)
+      if (active != null && prog.initActive(l.ids(i))) active.set(i)
       i += 1
     }
     // SLFE's rulers, resolved once per guidance; the other systems have none.
@@ -103,12 +108,10 @@ object Engine {
       case _         => null
     }
     val scheduled = new BitSet(n)
-    // Finish-early's vertices not yet frozen; freezing is permanent.
-    val finishEarly = prog.arith && schedule.isInstanceOf[Slfe]
-    // Finish-early's ruler: unchanged applies in a row, per vertex.
-    val stable = new Array[Int](if (finishEarly) n else 0)
-    val unfrozen = new BitSet(n)
-    unfrozen.set(0, n)
+    // Finish-early's stable streaks, kept by the pulls; `lastIter` is the
+    // threshold at which a vertex freezes, for good.
+    val streaks =
+      if (prog.arith && rulers != null) Some(new Streaks(new Array[Int](n), rulers.lastIter)) else None
     val signals = schedule == PowerL && !prog.arith
     val signalled = new BitSet(n)
     if (signals) { outNbrs(l, active, signalled); signalled.or(active) }
@@ -132,35 +135,34 @@ object Engine {
       // Alg. 3 lines 2-4: a vertex a pull skipped may hold updates its
       // successors never read, so a push after a pull starts all-active.
       if (push && (pulled || verifying)) { active.set(0, n); needsVerify = false }
-      // Destinations that gather: all, PowerL's signalled set, start-late's
-      // scheduled ones, or finish-early's not-yet-frozen ones.
-      val dsts = if (push) None else (schedule, prog.arith) match {
-        case (PowerL, false)  => Some(signalled)
-        case (Slfe(_), false) =>
+      // Min/max destinations that gather: all, PowerL's signalled set or
+      // start-late's scheduled ones.
+      val dsts = if (push || prog.arith) None else schedule match {
+        case PowerL  => Some(signalled)
+        case Slfe(_) =>
           scheduled.clear()
           rulers.schedule(iter, scheduled)
           Some(scheduled)
-        case (Slfe(_), true)  => Some(unfrozen)
-        case _                => None
+        case _       => None
       }
       val e0 = System.nanoTime()
-      if (push) EdgeOps.push(g, prog, values, members(active), msgs)
-      else if (prog.arith) EdgeOps.pullApply(g, prog, values, spare, dsts, msgs)
-      else EdgeOps.pull(g, prog, values, dsts, into = msgs)
+      // An arithmetic pull counts the vertices it computed: finish-early
+      // skips the frozen ones.
+      val applied =
+        if (prog.arith) EdgeOps.pullApply(g, prog, values, spare, streaks, msgs)
+        else if (push) { EdgeOps.push(g, prog, values, members(active), msgs); 0 }
+        else { EdgeOps.pull(g, prog, values, dsts, into = msgs); 0 }
       val edgeNanos = System.nanoTime() - e0
-      val computed = if (push) msgs.receivers else dsts.fold(n)(_.cardinality)
+      val computed =
+        if (prog.arith) applied else if (push) msgs.receivers else dsts.fold(n)(_.cardinality)
       if (!push && computed < n) needsVerify = true
-      active.clear()
-      if (prog.arith) {
-        var k = 0
-        while (k < msgs.receivers) { active.set(msgs.receiver(k)); k += 1 }
-        val t = values; values = spare; spare = t
-      } else applyReceivers(prog, values, msgs, active)
-      if (finishEarly) freeze(unfrozen, active, stable, rulers.lastIter, values, spare)
-      val updates = active.cardinality.toLong
+      // An arithmetic pull's receivers are the vertices it changed.
+      if (prog.arith) { val t = values; values = spare; spare = t }
+      else { active.clear(); applyReceivers(prog, values, msgs, active) }
+      val updates = if (prog.arith) msgs.receivers.toLong else active.cardinality.toLong
       val scatter = schedule match {
         case PowerG => l.numEdges
-        case PowerL => outEdges(l, active)
+        case PowerL => if (prog.arith) receiverOutEdges(l, msgs) else outEdges(l, active)
         case _      => 0L
       }
       val mode = schedule match {
@@ -201,23 +203,6 @@ object Engine {
     }
   }
 
-  /** Extends the stable streak of each vertex in `unfrozen`, the ones this
-    * iteration computed, or restarts it if the vertex is in `updated`; then
-    * drops the vertices whose streak reached their `lastIter` (at least 1):
-    * finish-early's early-converged vertices. No later pull writes a frozen
-    * vertex, so its value is copied from `values` into `spare`, which the
-    * next swap makes the values.
-    */
-  private def freeze(unfrozen: BitSet, updated: BitSet, stable: Array[Int],
-                     lastIter: Array[Int], values: Array[Double], spare: Array[Double]): Unit = {
-    var i = unfrozen.nextSetBit(0)
-    while (i >= 0) {
-      stable(i) = if (updated.get(i)) 0 else stable(i) + 1
-      if (stable(i) >= math.max(lastIter(i), 1)) { unfrozen.clear(i); spare(i) = values(i) }
-      i = unfrozen.nextSetBit(i + 1)
-    }
-  }
-
   /** The members of `vs`, ascending. */
   private def members(vs: BitSet): Array[Int] = {
     val out = new Array[Int](vs.cardinality)
@@ -225,6 +210,14 @@ object Engine {
     var i = vs.nextSetBit(0)
     while (i >= 0) { out(k) = i; k += 1; i = vs.nextSetBit(i + 1) }
     out
+  }
+
+  /** Out-edges of the receivers of `msgs`. */
+  private def receiverOutEdges(l: EdgeLayout, msgs: Messages): Long = {
+    var sum = 0L
+    var k = 0
+    while (k < msgs.receivers) { sum += l.outDeg(msgs.receiver(k)); k += 1 }
+    sum
   }
 
   /** Out-edges of the vertices in `vs`. */

@@ -9,8 +9,9 @@ package repro.core
   * is the iteration's wall time and `edgeNanos` the part of it spent in the
   * edge pass ([[EdgeOps]]); the rest is the driver's own work. An
   * arithmetic pull applies each destination inside its chunk task
-  * ([[EdgeOps.pullApply]]), so its apply counts as edge time; a min/max
-  * apply runs on the driver, outside `edgeNanos`.
+  * ([[EdgeOps.pullApply]]), so its apply and SLFE's finish-early streaks
+  * count as edge time; a min/max apply runs on the driver, outside
+  * `edgeNanos`.
   */
 final case class IterationStat(
     iter: Int,

@@ -58,6 +58,12 @@ final class RRGuidance private (
   * touched): the resolved `lastIter`, its maximum, beyond which an SLFE
   * min/max run only pushes, and start-late's schedule, a stable counting
   * sort of the vertices by `lastIter` (k's at `order(from(k) until from(k + 1))`).
+  *
+  * Every resolved `lastIter` is at least 1 (a touched vertex's is the BFS
+  * iteration, from 1, that last touched it; an untouched one's is
+  * `maxLevel + 1`), so it is also finish-early's freeze threshold as it
+  * stands: a vertex freezes once `lastIter` computed applies in a row left
+  * it unchanged, and a pure source applies once.
   */
 private[repro] final class Rulers(lastIters: Array[Int], maxLevel: Int) {
   val lastIter: Array[Int] = lastIters.map(k => if (k > 0) k else maxLevel + 1)

@@ -131,8 +131,38 @@ class EdgeOpsKernelSpec extends SparkSpec {
         def agg(m: Messages): Agg =
           ids.indices.filter(m.received).map(i => ids(i) -> (m.agg(i), m.count(i).toLong)).toMap
         assertSame(agg(push), agg(pull), prog, s"$clue push vs pull")
+        if (prog.arith) assertFinishEarly(g, edges, prog, dense, rnd, clue)
       }
     }
+  }
+
+  /** A finish-early gather-and-apply from random streaks and thresholds,
+    * against a serial fold over the edge list, destination by destination.
+    */
+  private def assertFinishEarly(g: PropertyGraph, edges: Seq[(Long, Long, Double)], prog: VertexProgram,
+                                values: Array[Double], rnd: scala.util.Random, clue: String): Unit = {
+    val ids = g.vertexIds
+    val n = ids.length
+    val before = Array.fill(n)(rnd.nextInt(4))
+    val freezeAt = Array.fill(n)(1 + rnd.nextInt(3))
+    val stable = before.clone()
+    val next = Array.fill(n)(Double.NaN)
+    val m = new Messages(n)
+    val computed = EdgeOps.pullApply(g, prog, values, next, Some(new Streaks(stable, freezeAt)), m)
+    val sums = bruteForce(edges, prog, ids.indices.map(i => (ids(i), values(i), g.outDeg(ids(i)))), None)
+    val frozen = (0 until n).filter(i => before(i) >= freezeAt(i))
+    val changed = (0 until n).filterNot(frozen.contains).filter { i =>
+      val cand = prog.applyFn(sums.get(ids(i)).fold(0.0)(_._1), values(i))
+      assert(java.lang.Double.doubleToRawLongBits(next(i)) == java.lang.Double.doubleToRawLongBits(cand),
+        s"$clue: candidate of ${ids(i)}, ${next(i)} vs $cand")
+      val ch = prog.improves(cand, values(i))
+      assert(stable(i) == (if (ch) 0 else before(i) + 1), s"$clue: streak of ${ids(i)}")
+      ch
+    }
+    for (i <- frozen) assert(next(i) == values(i) && stable(i) == before(i), s"$clue: frozen ${ids(i)}")
+    assert(frozen.nonEmpty && frozen.size < n, clue)
+    assert(computed == n - frozen.size, clue)
+    assert((0 until m.receivers).map(m.receiver).sorted == changed, clue)
   }
 
   test("an aggregate call starts no Spark job") {
@@ -230,7 +260,16 @@ class EdgeOpsKernelSpec extends SparkSpec {
       val bad = Apps.cc.copy(msg = (_, _, _) => throw new IllegalStateException(s"fails in $where"))
       val e = intercept[IllegalStateException](EdgeOps.pull(g, bad, values, dsts, into = buf))
       assert(e.getMessage == s"fails in $where")
-      // The pool, and the buffer the failed call wrote into, serve the next call.
+      // A finish-early gather-and-apply whose frozen destinations are the
+      // ones outside `dsts` fails in the same chunks.
+      val badSum = Apps.pagerank().copy(msg = (_, _, _) => throw new IllegalStateException(s"fails in $where, applying"))
+      val frozen = new Streaks(Array.tabulate(n)(i => if (dsts.forall(_.get(i))) 0 else 1), Array.fill(n)(1))
+      val ea = intercept[IllegalStateException](
+        EdgeOps.pullApply(g, badSum, values, new Array[Double](n), Some(frozen), buf))
+      assert(ea.getMessage == s"fails in $where, applying")
+      // The pool, and the buffer the failed calls wrote into, serve the next calls.
+      val fresh = new Streaks(new Array[Int](n), Array.fill(n)(1))
+      assert(EdgeOps.pullApply(g, Apps.pagerank(), values, new Array[Double](n), Some(fresh), buf) == n, where)
       val next = EdgeOps.pull(g, Apps.cc, values, None, into = buf)
       assert(next.count.sameElements(want.count) && next.edges == g.numEdges, where)
     }

@@ -41,6 +41,10 @@ class RRGuidanceSpec extends SparkSpec {
     val r = RRGuidance.generate(g, Set(0L))
     assert(!r.level.contains(3L))
     assert(r.lastIterOf(3L) == r.maxLevel + 1)
+    // So every resolved lastIter is at least 1, finish-early's freeze
+    // threshold, also under no root or a root that reaches nothing.
+    for (roots <- Seq(Set(0L), Set(1L), Set(0L, 2L), Set.empty[Long]))
+      assert(RRGuidance.generate(g, roots).rulers(g).lastIter.forall(_ >= 1), roots)
   }
 
   test("lastIterOf fails loudly on an id that is not a vertex") {
