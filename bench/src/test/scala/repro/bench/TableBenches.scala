@@ -39,7 +39,7 @@ class OverheadBench extends BenchBase {
   }
 }
 
-/** Paper Fig. 10 companion: work stealing + partitioning balance. */
+/** Paper Fig. 10 companion: chunk skew under start-late, replication factors. */
 class BalanceBench extends BenchBase {
   test("Intra/inter-node balance substrates") {
     Harness.balance(GraphGen.datasets, emit)

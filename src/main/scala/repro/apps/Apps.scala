@@ -69,13 +69,13 @@ object Apps {
   )
 
   /** TunkRank-style influence: t'(v) = sum over followers u->v of
-    * (1 + p*t(u)) / outDeg(u).
+    * (1 + p*t(u)) / outDeg(u), with retweet probability p = 0.5.
     */
-  def tunkrank(p: Double = 0.5, eps: Double = 1e-9): VertexProgram = VertexProgram(
+  def tunkrank(eps: Double = 1e-9): VertexProgram = VertexProgram(
     name = "TR", agg = AggKind.Sum,
     initValue = _ => 0.0,
     initActive = _ => true,
-    msg = (srcVal, _, srcOutDeg) => (1.0 + p * srcVal) / srcOutDeg,
+    msg = (srcVal, _, srcOutDeg) => (1.0 + 0.5 * srcVal) / srcOutDeg,
     applyFn = (m, _) => m,
     improves = (cand, old) => math.abs(cand - old) > eps,
   )

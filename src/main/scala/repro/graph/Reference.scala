@@ -99,16 +99,16 @@ object Reference {
   }
 
   /** TunkRank-style influence: t'(v) = sum over followers u->v of
-    * (1 + p*t(u)) / outDeg(u), iterated synchronously from 0.
+    * (1 + p*t(u)) / outDeg(u), with p = 0.5, iterated synchronously from 0.
     */
-  def tunkrank(edges: Seq[(Long, Long, Double)], iters: Int, p: Double = 0.5): Map[Long, Double] = {
+  def tunkrank(edges: Seq[(Long, Long, Double)], iters: Int): Map[Long, Double] = {
     val vs = vertexSet(edges).toSeq.sorted
     val out = edges.groupBy(_._1).view.mapValues(_.size.toLong).toMap
     val inAdj = edges.groupBy(_._2).view.mapValues(_.map(_._1)).toMap
     var t = vs.iterator.map(v => v -> 0.0).toMap
     for (_ <- 1 to iters) {
       t = vs.iterator.map { v =>
-        v -> inAdj.getOrElse(v, Nil).iterator.map(u => (1.0 + p * t(u)) / out(u)).sum
+        v -> inAdj.getOrElse(v, Nil).iterator.map(u => (1.0 + 0.5 * t(u)) / out(u)).sum
       }.toMap
     }
     t

@@ -35,26 +35,26 @@ object Replication {
     placed.cardinality.toDouble / n
   }
 
-  /** SQL's `pmod(hash(cols..., seed), k)`: Murmur3 from 42 over the `bigint`
-    * columns, then over the `int` literal `seed`.
+  /** SQL's `pmod(hash(cols..., 7), k)`: Murmur3 from 42 over the `bigint`
+    * columns, then over the `int` literal 7.
     */
-  private def machine(k: Int, seed: Int, cols: Long*): Int =
-    java.lang.Math.floorMod(hashInt(seed, cols.foldLeft(42)((h, c) => hashLong(c, h))), k)
+  private def machine(k: Int, cols: Long*): Int =
+    java.lang.Math.floorMod(hashInt(7, cols.foldLeft(42)((h, c) => hashLong(c, h))), k)
 
   /** PowerGraph-style random vertex-cut over `k` machines. */
-  def randomVertexCut(g: PropertyGraph, k: Int, seed: Int = 7): Double = {
+  def randomVertexCut(g: PropertyGraph, k: Int): Double = {
     val l = g.layout
-    replicationFactor(l, k)((s, d) => machine(k, seed, l.ids(s), l.ids(d)))
+    replicationFactor(l, k)((s, d) => machine(k, l.ids(s), l.ids(d)))
   }
 
   /** PowerLyra-style hybrid-cut: in-edges of a destination with in-degree
     * below `threshold` hash by destination (one machine); high-in-degree
     * destinations hash by source (split like a vertex-cut).
     */
-  def hybridCut(g: PropertyGraph, k: Int, threshold: Long, seed: Int = 7): Double = {
+  def hybridCut(g: PropertyGraph, k: Int, threshold: Long): Double = {
     val l = g.layout
     replicationFactor(l, k) { (s, d) =>
-      machine(k, seed, l.ids(if (l.inDeg(d) < threshold) d else s))
+      machine(k, l.ids(if (l.inDeg(d) < threshold) d else s))
     }
   }
 }

@@ -77,4 +77,22 @@ class ChunkingSpec extends AnyFunSuite {
     val chunks = Chunking.partition((0L until 500L).toSeq, deg, parts = 8)
     assert(Chunking.imbalance(chunks) < 1.5, s"imb=${Chunking.imbalance(chunks)}")
   }
+
+  test("chunking emits exactly `parts` chunks") {
+    checkProp(Prop.forAll(Gen.choose(1, 100), Gen.choose(1, 10)) { (n: Int, p: Int) =>
+      Chunking.partition((0L until n.toLong).toSeq, _ => 1L, p).size == p
+    }, minSuccessful = 40)
+  }
+
+  test("chunking vertices stay sorted within and across chunks") {
+    val chunks = Chunking.partition(Seq(5L, 1L, 9L, 3L, 7L), _ => 2L, 2)
+    val flat = chunks.flatMap(_.vertices)
+    assert(flat == flat.sorted)
+  }
+
+  test("chunk edge field equals the sum of member degrees") {
+    val deg: Long => Long = v => v + 1
+    val chunks = Chunking.partition((0L until 20L).toSeq, deg, 3)
+    chunks.foreach(c => assert(c.edges == c.vertices.map(deg).sum))
+  }
 }
